@@ -306,8 +306,7 @@ impl Atom {
 
     /// Renders the atom using the vocabulary.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let args: Vec<String> = self.args.iter().map(|&t| vocab.term_to_string(t)).collect();
-        format!("{}({})", vocab.pred_name(self.pred), args.join(","))
+        AtomRef::from(self).display(vocab)
     }
 }
 
@@ -355,10 +354,25 @@ impl<'a> AtomRef<'a> {
         Atom::new(self.pred, self.args)
     }
 
+    /// Appends the rendering `P(t1,…,tn)` of the atom to `out`; see
+    /// [`Vocabulary::write_term`] for how terms render.
+    pub fn write_to(&self, out: &mut String, vocab: &Vocabulary) {
+        out.push_str(vocab.pred_name(self.pred));
+        out.push('(');
+        for (i, &t) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            vocab.write_term(out, t);
+        }
+        out.push(')');
+    }
+
     /// Renders the atom using the vocabulary.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let args: Vec<String> = self.args.iter().map(|&t| vocab.term_to_string(t)).collect();
-        format!("{}({})", vocab.pred_name(self.pred), args.join(","))
+        let mut out = String::new();
+        self.write_to(&mut out, vocab);
+        out
     }
 }
 
@@ -384,13 +398,6 @@ impl PartialEq<AtomRef<'_>> for Atom {
     fn eq(&self, other: &AtomRef<'_>) -> bool {
         other == self
     }
-}
-
-/// Renders a set of atoms as `{A, B, ...}` for diagnostics.
-pub fn display_atoms<'a>(atoms: impl IntoIterator<Item = &'a Atom>, vocab: &Vocabulary) -> String {
-    let mut parts: Vec<String> = atoms.into_iter().map(|a| a.display(vocab)).collect();
-    parts.sort();
-    format!("{{{}}}", parts.join(", "))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! [`PredId`]: crate::ids::PredId
 //! [`VarId`]: crate::ids::VarId
 
+use std::fmt::Write;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -161,8 +162,7 @@ fn render_atom(
             Term::Var(v) => {
                 let next = numbering.len();
                 let n = *numbering.entry(v).or_insert(next);
-                out.push('v');
-                out.push_str(&n.to_string());
+                let _ = write!(out, "v{n}");
             }
             // Rules are constant-free and null-free by construction
             // ([`Tgd::new`] rejects both), but render defensively so a
@@ -173,48 +173,63 @@ fn render_atom(
                 out.push('"');
             }
             Term::Null(n) => {
-                out.push_str("_:");
-                out.push_str(&n.index().to_string());
+                let _ = write!(out, "_:{}", n.index());
             }
         }
     }
     out.push(')');
 }
 
-/// Renders one rule canonically: body atoms, `->`, head atoms, with
-/// variables renumbered positionally (body first).
-fn render_rule(tgd: &Tgd, vocab: &Vocabulary) -> String {
-    let mut numbering = fx_map();
-    let mut out = String::with_capacity(64);
+/// Appends one rule's canonical rendering to `out`: body atoms, `->`,
+/// head atoms, with variables renumbered positionally (body first).
+fn render_rule(
+    out: &mut String,
+    tgd: &Tgd,
+    vocab: &Vocabulary,
+    numbering: &mut crate::ids::FxHashMap<crate::ids::VarId, usize>,
+) {
+    numbering.clear();
     for (i, atom) in tgd.body().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_atom(&mut out, atom, vocab, &mut numbering);
+        render_atom(out, atom, vocab, numbering);
     }
     out.push_str("->");
     for (i, atom) in tgd.head().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_atom(&mut out, atom, vocab, &mut numbering);
+        render_atom(out, atom, vocab, numbering);
     }
-    out
 }
 
 /// Computes the canonical fingerprint of a parsed program: sorted
 /// canonical rule renderings, then the (already name-sorted) database
 /// display, hashed twice with domain-separated seeds into 128 bits.
+///
+/// The hashed text is one contiguous buffer fed to each hasher in a
+/// single `write`: [`FxHasher`] pads every `write` call's tail, so
+/// splitting the input differently would change the fingerprint.
 pub fn canonical_fingerprint(
     set: &TgdSet,
     database: &Instance,
     vocab: &Vocabulary,
 ) -> ProgramFingerprint {
-    let mut rules: Vec<String> = set.tgds().iter().map(|t| render_rule(t, vocab)).collect();
-    rules.sort_unstable();
-    let mut text = String::with_capacity(rules.iter().map(|r| r.len() + 1).sum::<usize>() + 64);
-    for rule in &rules {
-        text.push_str(rule);
+    // Rules render into one arena; sorting `(start, end)` spans by
+    // their bytes orders them exactly as sorting per-rule strings would.
+    let mut arena = String::new();
+    let mut spans = Vec::with_capacity(set.len());
+    let mut numbering = fx_map();
+    for tgd in set.tgds() {
+        let start = arena.len();
+        render_rule(&mut arena, tgd, vocab, &mut numbering);
+        spans.push((start, arena.len()));
+    }
+    spans.sort_unstable_by(|&(a, b), &(c, d)| arena[a..b].cmp(&arena[c..d]));
+    let mut text = String::with_capacity(arena.len() + spans.len() + 64);
+    for &(start, end) in &spans {
+        text.push_str(&arena[start..end]);
         text.push('\n');
     }
     text.push_str("=facts=\n");

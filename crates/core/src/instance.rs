@@ -790,11 +790,32 @@ impl Instance {
         self.iter().all(|a| a.is_fact())
     }
 
-    /// Renders the instance for diagnostics, atoms sorted textually.
+    /// Renders the instance as `{A, B, …}`, atoms sorted by their text
+    /// (byte order). This is the canonical rendering behind the program
+    /// and result fingerprints, so its bytes must never change.
+    ///
+    /// Every atom is rendered once into one arena buffer; the sort
+    /// permutes `(start, end)` spans into it, and the output is written
+    /// in one pass — no allocation per atom.
     pub fn display(&self, vocab: &Vocabulary) -> String {
-        let mut parts: Vec<String> = self.iter().map(|a| a.display(vocab)).collect();
-        parts.sort();
-        format!("{{{}}}", parts.join(", "))
+        let mut arena = String::new();
+        let mut spans = Vec::with_capacity(self.len());
+        for atom in self.iter() {
+            let start = arena.len();
+            atom.write_to(&mut arena, vocab);
+            spans.push((start, arena.len()));
+        }
+        spans.sort_unstable_by(|&(a, b), &(c, d)| arena[a..b].cmp(&arena[c..d]));
+        let mut out = String::with_capacity(arena.len() + 2 * spans.len() + 2);
+        out.push('{');
+        for (i, &(start, end)) in spans.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&arena[start..end]);
+        }
+        out.push('}');
+        out
     }
 
     /// Consumes the instance, returning its atoms in insertion order.

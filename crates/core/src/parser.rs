@@ -14,6 +14,8 @@
 //! constant. Each rule has its own variable scope, so parsed rule sets
 //! are automatically variable-disjoint as the paper assumes.
 
+use std::ops::Range;
+
 use crate::atom::Atom;
 use crate::error::CoreError;
 use crate::ids::VarId;
@@ -38,9 +40,11 @@ impl Program {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers borrow their text from the source, so lexing
+/// allocates nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     Comma,
@@ -49,15 +53,15 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Spanned<'a> {
+    tok: Tok<'a>,
     line: usize,
     col: usize,
 }
@@ -65,7 +69,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -73,7 +77,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let b = *self.src.get(self.pos)?;
+        let b = *self.src.as_bytes().get(self.pos)?;
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
@@ -85,11 +89,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn error(&self, message: impl Into<String>) -> CoreError {
@@ -100,7 +104,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn tokens(mut self) -> Result<Vec<Spanned>, CoreError> {
+    fn tokens(mut self) -> Result<Vec<Spanned<'a>>, CoreError> {
         let mut out = Vec::new();
         loop {
             // Skip whitespace and comments.
@@ -163,9 +167,9 @@ impl<'a> Lexer<'a> {
                             break;
                         }
                     }
-                    let text = std::str::from_utf8(&self.src[start..self.pos])
-                        .map_err(|_| self.error("invalid utf-8 in identifier"))?;
-                    Tok::Ident(text.to_string())
+                    // Identifier bytes are ASCII, so both ends lie on
+                    // character boundaries.
+                    Tok::Ident(&self.src[start..self.pos])
                 }
                 other => {
                     return Err(self.error(format!("unexpected character '{}'", other as char)))
@@ -177,23 +181,28 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser<'v> {
-    toks: Vec<Spanned>,
+struct Parser<'a, 'v> {
+    toks: Vec<Spanned<'a>>,
     pos: usize,
     vocab: &'v mut Vocabulary,
+    /// Argument names of the statement being parsed; each [`RawAtom`]
+    /// owns a range of it. Cleared per statement, so parsing a fact
+    /// allocates nothing once the buffer has grown.
+    names: Vec<&'a str>,
 }
 
 /// A raw atom before variable/constant resolution.
-struct RawAtom {
-    pred: String,
-    args: Vec<String>,
+struct RawAtom<'a> {
+    pred: &'a str,
+    /// The argument names, as a range of [`Parser::names`].
+    args: Range<usize>,
     line: usize,
     col: usize,
 }
 
-impl<'v> Parser<'v> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+impl<'a, 'v> Parser<'a, 'v> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
     fn here(&self) -> (usize, usize) {
@@ -212,32 +221,32 @@ impl<'v> Parser<'v> {
         }
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), CoreError> {
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), CoreError> {
         match self.bump() {
             Some(t) if t == tok => Ok(()),
             _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
-    fn raw_atom(&mut self) -> Result<RawAtom, CoreError> {
+    fn raw_atom(&mut self) -> Result<RawAtom<'a>, CoreError> {
         let (line, col) = self.here();
         let pred = match self.bump() {
             Some(Tok::Ident(name)) => name,
             _ => return Err(self.error("expected a predicate name")),
         };
         self.expect(Tok::LParen, "'('")?;
-        let mut args = Vec::new();
+        let first = self.names.len();
         loop {
             match self.bump() {
-                Some(Tok::Ident(arg)) => args.push(arg),
+                Some(Tok::Ident(arg)) => self.names.push(arg),
                 _ => return Err(self.error("expected a term")),
             }
             match self.bump() {
@@ -248,15 +257,17 @@ impl<'v> Parser<'v> {
         }
         Ok(RawAtom {
             pred,
-            args,
+            args: first..self.names.len(),
             line,
             col,
         })
     }
 
-    fn raw_atom_list(&mut self) -> Result<Vec<RawAtom>, CoreError> {
-        let mut atoms = vec![self.raw_atom()?];
-        while self.peek() == Some(&Tok::Comma) {
+    /// Parses the rest of a comma-separated atom list whose first atom
+    /// is already parsed.
+    fn raw_atom_list(&mut self, first: RawAtom<'a>) -> Result<Vec<RawAtom<'a>>, CoreError> {
+        let mut atoms = vec![first];
+        while self.peek() == Some(Tok::Comma) {
             self.bump();
             atoms.push(self.raw_atom()?);
         }
@@ -267,21 +278,20 @@ impl<'v> Parser<'v> {
     /// in the per-rule `scope`.
     fn resolve_rule_atom(
         &mut self,
-        raw: RawAtom,
-        scope: &mut Vec<(String, VarId)>,
+        raw: RawAtom<'a>,
+        scope: &mut Vec<(&'a str, VarId)>,
     ) -> Result<Atom, CoreError> {
         let pred = self
             .vocab
-            .pred(&raw.pred, raw.args.len())
-            .map_err(|e| self.rewrap_arity(e, raw.line, raw.col))?;
-        let args = raw
-            .args
-            .into_iter()
-            .map(|name| {
+            .pred(raw.pred, raw.args.len())
+            .map_err(|e| rewrap_arity(e, raw.line, raw.col))?;
+        let args = self.names[raw.args]
+            .iter()
+            .map(|&name| {
                 let v = match scope.iter().find(|(n, _)| *n == name) {
                     Some((_, v)) => *v,
                     None => {
-                        let v = self.vocab.fresh_var(&name);
+                        let v = self.vocab.fresh_var(name);
                         scope.push((name, v));
                         v
                     }
@@ -293,98 +303,91 @@ impl<'v> Parser<'v> {
     }
 
     /// Resolves a raw atom as a fact: all arguments are constants.
-    fn resolve_fact_atom(&mut self, raw: RawAtom) -> Result<Atom, CoreError> {
+    fn resolve_fact_atom(&mut self, raw: RawAtom<'a>) -> Result<Atom, CoreError> {
         let pred = self
             .vocab
-            .pred(&raw.pred, raw.args.len())
-            .map_err(|e| self.rewrap_arity(e, raw.line, raw.col))?;
-        let args = raw
-            .args
-            .into_iter()
-            .map(|name| Term::Const(self.vocab.constant(&name)))
+            .pred(raw.pred, raw.args.len())
+            .map_err(|e| rewrap_arity(e, raw.line, raw.col))?;
+        let args = self.names[raw.args]
+            .iter()
+            .map(|name| Term::Const(self.vocab.constant(name)))
             .collect::<crate::atom::ArgVec>();
         Ok(Atom::new(pred, args))
-    }
-
-    fn rewrap_arity(&self, e: CoreError, line: usize, col: usize) -> CoreError {
-        match e {
-            CoreError::ArityMismatch { .. } | CoreError::ZeroArity { .. } => CoreError::Parse {
-                line,
-                column: col,
-                message: e.to_string(),
-            },
-            other => other,
-        }
     }
 
     fn program(&mut self) -> Result<Program, CoreError> {
         let mut rules = Vec::new();
         let mut database = Instance::new();
         while self.peek().is_some() {
-            let atoms = self.raw_atom_list()?;
-            match self.peek() {
-                Some(&Tok::Arrow) => {
-                    self.bump();
-                    let mut scope: Vec<(String, VarId)> = Vec::new();
-                    let body = atoms
-                        .into_iter()
-                        .map(|raw| self.resolve_rule_atom(raw, &mut scope))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    // Optional `exists v1, v2.` prefix.
-                    let mut declared: Vec<String> = Vec::new();
-                    if let Some(Tok::Ident(kw)) = self.peek() {
-                        if kw == "exists" {
-                            self.bump();
-                            loop {
-                                match self.bump() {
-                                    Some(Tok::Ident(v)) => declared.push(v),
-                                    _ => {
-                                        return Err(self.error("expected a variable after 'exists'"))
-                                    }
-                                }
-                                match self.bump() {
-                                    Some(Tok::Comma) => continue,
-                                    Some(Tok::Dot) => break,
-                                    _ => {
-                                        return Err(self.error("expected ',' or '.' in exists list"))
-                                    }
-                                }
-                            }
-                        }
+            self.names.clear();
+            let first = self.raw_atom()?;
+            if !matches!(self.peek(), Some(Tok::Comma | Tok::Arrow)) {
+                // A fact statement: exactly one atom then '.'.
+                self.expect(Tok::Dot, "'.' at end of fact")?;
+                let fact = self.resolve_fact_atom(first)?;
+                database.insert(fact);
+                continue;
+            }
+            let atoms = self.raw_atom_list(first)?;
+            if self.peek() != Some(Tok::Arrow) {
+                return Err(self.error("expected '->' after atom list"));
+            }
+            self.bump();
+            let mut scope: Vec<(&str, VarId)> = Vec::new();
+            let body = atoms
+                .into_iter()
+                .map(|raw| self.resolve_rule_atom(raw, &mut scope))
+                .collect::<Result<Vec<_>, _>>()?;
+            // Optional `exists v1, v2.` prefix.
+            let mut declared: Vec<&str> = Vec::new();
+            if self.peek() == Some(Tok::Ident("exists")) {
+                self.bump();
+                loop {
+                    match self.bump() {
+                        Some(Tok::Ident(v)) => declared.push(v),
+                        _ => return Err(self.error("expected a variable after 'exists'")),
                     }
-                    let body_scope_len = scope.len();
-                    let head_raw = self.raw_atom_list()?;
-                    let head = head_raw
-                        .into_iter()
-                        .map(|raw| self.resolve_rule_atom(raw, &mut scope))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    self.expect(Tok::Dot, "'.' at end of rule")?;
-                    // Validate exists declarations: each declared
-                    // variable must be head-only.
-                    for name in &declared {
-                        let in_body = scope[..body_scope_len].iter().any(|(n, _)| n == name);
-                        let in_head = scope[body_scope_len..].iter().any(|(n, _)| n == name);
-                        if in_body || !in_head {
-                            return Err(CoreError::BadExistential {
-                                variable: name.clone(),
-                            });
-                        }
+                    match self.bump() {
+                        Some(Tok::Comma) => continue,
+                        Some(Tok::Dot) => break,
+                        _ => return Err(self.error("expected ',' or '.' in exists list")),
                     }
-                    rules.push(Tgd::new(body, head)?);
-                }
-                _ => {
-                    // A fact statement: exactly one atom then '.'.
-                    if atoms.len() != 1 {
-                        return Err(self.error("expected '->' after atom list"));
-                    }
-                    self.expect(Tok::Dot, "'.' at end of fact")?;
-                    let fact =
-                        self.resolve_fact_atom(atoms.into_iter().next().expect("one atom"))?;
-                    database.insert(fact);
                 }
             }
+            let body_scope_len = scope.len();
+            let first = self.raw_atom()?;
+            let head_raw = self.raw_atom_list(first)?;
+            let head = head_raw
+                .into_iter()
+                .map(|raw| self.resolve_rule_atom(raw, &mut scope))
+                .collect::<Result<Vec<_>, _>>()?;
+            self.expect(Tok::Dot, "'.' at end of rule")?;
+            // Validate exists declarations: each declared variable must
+            // be head-only.
+            for name in declared {
+                let in_body = scope[..body_scope_len].iter().any(|&(n, _)| n == name);
+                let in_head = scope[body_scope_len..].iter().any(|&(n, _)| n == name);
+                if in_body || !in_head {
+                    return Err(CoreError::BadExistential {
+                        variable: name.to_string(),
+                    });
+                }
+            }
+            rules.push(Tgd::new(body, head)?);
         }
         Ok(Program { rules, database })
+    }
+}
+
+/// Reports an arity clash at the atom that caused it.
+fn rewrap_arity(e: CoreError, line: usize, col: usize) -> CoreError {
+    match e {
+        CoreError::ArityMismatch { .. } | CoreError::ZeroArity { .. } => CoreError::Parse {
+            line,
+            column: col,
+            message: e.to_string(),
+        },
+        other => other,
     }
 }
 
@@ -395,6 +398,7 @@ pub fn parse_program(src: &str, vocab: &mut Vocabulary) -> Result<Program, CoreE
         toks,
         pos: 0,
         vocab,
+        names: Vec::new(),
     }
     .program()
 }

@@ -5,6 +5,8 @@
 //! All structural code paths work on interned identifiers only; names
 //! are needed just for parsing and pretty-printing.
 
+use std::fmt::Write;
+
 use crate::error::CoreError;
 use crate::ids::{fx_map, ConstId, FxHashMap, NullId, PredId, VarId};
 use crate::term::Term;
@@ -144,17 +146,33 @@ impl Vocabulary {
             .map(|(i, info)| (PredId(i as u32), info))
     }
 
-    /// Renders a term for human consumption. Nulls render as `_:nK`;
-    /// constants unknown to this vocabulary render as `⟨cK⟩`.
-    pub fn term_to_string(&self, term: Term) -> String {
+    /// Appends the rendering of a term to `out`. Nulls render as
+    /// `_:nK`, variables as `?name`; constants unknown to this
+    /// vocabulary render as `⟨cK⟩`.
+    pub fn write_term(&self, out: &mut String, term: Term) {
+        // Writing into a `String` cannot fail.
         match term {
             Term::Const(c) => match self.consts.get(c.index()) {
-                Some(name) => name.clone(),
-                None => format!("⟨c{}⟩", c.0),
+                Some(name) => out.push_str(name),
+                None => {
+                    let _ = write!(out, "⟨c{}⟩", c.0);
+                }
             },
-            Term::Null(NullId(n)) => format!("_:n{n}"),
-            Term::Var(v) => format!("?{}", self.var_name(v)),
+            Term::Null(NullId(n)) => {
+                let _ = write!(out, "_:n{n}");
+            }
+            Term::Var(v) => {
+                out.push('?');
+                out.push_str(self.var_name(v));
+            }
         }
+    }
+
+    /// Renders a term for human consumption; see [`Vocabulary::write_term`].
+    pub fn term_to_string(&self, term: Term) -> String {
+        let mut out = String::new();
+        self.write_term(&mut out, term);
+        out
     }
 }
 

@@ -279,11 +279,16 @@ fn run_task_on<O: ChaseObserver + ?Sized>(
     let gov = spec.governor();
     // A fresh fallback pool for pool-less callers, constructed exactly
     // as the engines' own entry points would (same `workers` argument),
-    // so pooled and pool-less runs are indistinguishable.
-    let mut fresh = DiscoveryPool::new(spec.threads);
+    // so pooled and pool-less runs are indistinguishable. Built only
+    // when needed: for `threads: None` the constructor probes the host
+    // for its core count.
+    let mut fresh;
     let pool = match pool {
         Some(shared) => shared,
-        None => &mut fresh,
+        None => {
+            fresh = DiscoveryPool::new(spec.threads);
+            &mut fresh
+        }
     };
     let (outcome, steps, instance) = match spec.engine {
         TaskEngine::Restricted { strategy } => {

@@ -63,6 +63,11 @@ cargo test --offline -q -p chase-server --test program_cache
 echo "== fingerprint canonicalization property suite (compile cache addressing) =="
 cargo test --offline -q -p chase-core --test compile_fingerprint
 
+echo "== serving benchmark's own tests (request stream per seed, BENCHMARK.json in step) =="
+# servebench/ is a package of its own (empty [workspace]), so the
+# workspace test run above does not reach it.
+cargo test --offline -q --manifest-path servebench/Cargo.toml
+
 echo "== hot-path smoke report (bit-identity + timing sanity + thread-scaling gate) =="
 # Includes the scaling smoke gate: parallel at the gate thread count
 # (2 on multi-core hosts, 1 on single-core ones) must be at least
