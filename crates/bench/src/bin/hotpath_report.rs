@@ -341,10 +341,10 @@ fn oblivious_row(
 }
 
 /// Times the parallel restricted driver at fixed worker caps against a
-/// sequential reference, re-verifying bit-identity at every cap. Work
-/// is partitioned over discovery cells (slot × TGD) and shard-disjoint
-/// check batches, so the curve keeps scaling past the TGD count on
-/// delta-heavy workloads.
+/// sequential reference, re-verifying bit-identity at every cap.
+/// Discovery work is partitioned over cells (slot × TGD), so the curve
+/// keeps scaling past the TGD count on delta-heavy workloads;
+/// restriction checks and trigger application stay sequential.
 fn scaling_curve(
     workload: String,
     set: &TgdSet,
@@ -495,7 +495,7 @@ fn write_json(
     for (c, curve) in scaling.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"engine\": \"parallel restricted driver \
-             (persistent pool, cell-partitioned discovery, shard-batched checks)\", \
+             (persistent pool, cell-partitioned discovery, sequential checks)\", \
              \"steps\": {}, \"atoms\": {}, \"sequential_ns\": {}, \"points\": [\n",
             curve.workload, curve.steps, curve.atoms, curve.seq_ns
         ));
@@ -572,8 +572,7 @@ fn main() {
     // Thread-scaling curves: the small fan workload (one TGD per spoke
     // kind) plus the ontology-scale generator workloads — hundreds of
     // TGDs over 10⁵+ facts in full mode, where the persistent pool's
-    // cell-partitioned discovery and shard-batched restriction checks
-    // carry the speedup.
+    // cell-partitioned discovery carries the speedup.
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

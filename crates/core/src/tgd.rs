@@ -136,7 +136,6 @@ pub struct Tgd {
     body_pair_plan: Vec<(PredId, u16, u16)>,
     pair_plan: Vec<(PredId, u16, u16)>,
     head_probe: Option<HeadProbe>,
-    head_shard_plan: Option<Vec<(PredId, Option<VarId>)>>,
 }
 
 impl Tgd {
@@ -263,26 +262,6 @@ impl Tgd {
             None
         };
 
-        // Shard-safety plan for parallel trigger application: `Some`
-        // iff every head atom's *first* argument is a frontier
-        // variable (zero-arity atoms qualify trivially). Instances
-        // home-shard atoms by (pred, first arg), so for such a TGD the
-        // home shards of every atom this trigger could insert — and of
-        // every atom that could witness its head at position 0 — are
-        // computable from the body binding alone, before anything is
-        // inserted. A first argument that is existential would get its
-        // shard from a null id that depends on application order, so
-        // those TGDs opt out. (Constants cannot occur: rules are
-        // constant-free by validation above.)
-        let head_shard_plan = head
-            .iter()
-            .map(|h| match h.args.first() {
-                None => Some((h.pred, None)),
-                Some(Term::Var(v)) if frontier.binary_search(v).is_ok() => Some((h.pred, Some(*v))),
-                Some(_) => None,
-            })
-            .collect::<Option<Vec<_>>>();
-
         Ok(Tgd {
             body,
             head,
@@ -295,7 +274,6 @@ impl Tgd {
             body_pair_plan,
             pair_plan,
             head_probe,
-            head_shard_plan,
         })
     }
 
@@ -392,21 +370,6 @@ impl Tgd {
     #[inline]
     pub fn head_probe(&self) -> Option<&HeadProbe> {
         self.head_probe.as_ref()
-    }
-
-    /// The shard-safety plan for parallel trigger application: one
-    /// `(pred, first frontier arg)` entry per head atom, or `None` if
-    /// any head atom's first argument is existential.
-    ///
-    /// When `Some`, binding the frontier determines the home shard of
-    /// every atom a trigger of this TGD could insert *and* of every
-    /// atom that could witness its head, so a parallel driver may run
-    /// restriction checks for triggers with pairwise-disjoint target
-    /// shard sets concurrently and still match the sequential chase
-    /// bit for bit.
-    #[inline]
-    pub fn head_shard_plan(&self) -> Option<&[(PredId, Option<VarId>)]> {
-        self.head_shard_plan.as_deref()
     }
 
     /// Whether `v` is existentially quantified in this TGD.
@@ -705,35 +668,6 @@ mod tests {
         // Body-minus views drop exactly one atom, preserving order.
         assert_eq!(tgd.body_without(0), &tgd.body()[1..]);
         assert_eq!(tgd.body_without(1), &tgd.body()[..1]);
-    }
-
-    #[test]
-    fn head_shard_plan_requires_frontier_first_args() {
-        let mut vocab = Vocabulary::new();
-        // R(x,y) -> exists z . R(x,z): first head arg is frontier.
-        let tgd = intro_rule(&mut vocab);
-        let x = tgd.body()[0].args[0].as_var().unwrap();
-        let plan = tgd.head_shard_plan().expect("frontier-first head");
-        assert_eq!(plan, &[(tgd.head()[0].pred, Some(x))]);
-
-        // S(x) -> exists z . S(z): first head arg is existential.
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, z) = (b.var("x2"), b.var("z2"));
-        b.body("S", &[x]).unwrap();
-        b.head("S", &[z]).unwrap();
-        assert!(b.build().unwrap().head_shard_plan().is_none());
-
-        // T(x,y) -> U(y,x) & V(x): full TGDs always qualify.
-        let mut b = RuleBuilder::new(&mut vocab);
-        let (x, y) = (b.var("x3"), b.var("y3"));
-        b.body("T", &[x, y]).unwrap();
-        b.head("U", &[y, x]).unwrap();
-        b.head("V", &[x]).unwrap();
-        let tgd = b.build().unwrap();
-        let plan = tgd.head_shard_plan().expect("frontier-first heads");
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].1, y.as_var());
-        assert_eq!(plan[1].1, x.as_var());
     }
 
     #[test]

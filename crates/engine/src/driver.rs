@@ -57,8 +57,9 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Whether a chase engine may fan trigger discovery (and, for the
-/// restricted engine, restriction checking) out over threads.
+/// Whether a chase engine may fan trigger discovery out over threads.
+/// Restriction checks and trigger application always run on the
+/// driving thread, in queue order.
 ///
 /// `On` is observationally identical to `Off` — same final instance,
 /// same step count, same telemetry stream — by the invariants
@@ -131,8 +132,8 @@ const JOIN_ROW_CAP: usize = 256;
 ///
 /// Single-atom ("narrow") bodies cost about one index probe per row;
 /// join bodies fan each row out against candidates drawn from the rest
-/// of the batch, costing roughly `rows` probes per row (capped). The
-/// engines' `go_parallel` gating compares this against their
+/// of the batch, costing roughly `rows` probes per row (capped).
+/// [`go_parallel`] compares this against the engine's
 /// `parallel_threshold`, so large-but-narrow batches (hundreds of rows
 /// against width-1 bodies, where a sequential pass is a few
 /// microseconds) stay sequential while genuinely quadratic batches fan
@@ -143,6 +144,20 @@ pub fn estimated_batch_work(set: &TgdSet, rows: usize) -> usize {
         rows.saturating_mul(rows.min(JOIN_ROW_CAP))
             .saturating_mul(set.join_bodies()),
     )
+}
+
+/// The engines' fan-out gate for a discovery batch of `rows` rows:
+/// never under [`Parallelism::Off`], always under a `threshold` of 0,
+/// and otherwise once the batch has at least [`MIN_PARALLEL_ROWS`]
+/// rows and its [`estimated_batch_work`] reaches `threshold`.
+pub fn go_parallel(set: &TgdSet, parallelism: Parallelism, threshold: usize, rows: usize) -> bool {
+    if parallelism != Parallelism::On {
+        return false;
+    }
+    if threshold == 0 {
+        return true;
+    }
+    rows >= MIN_PARALLEL_ROWS && estimated_batch_work(set, rows) >= threshold
 }
 
 /// Sort key slot for the merge: position of the delta slot in the

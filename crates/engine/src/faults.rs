@@ -38,11 +38,6 @@ pub struct WorkerPanic {
 pub struct FaultPlan {
     /// Panic one worker of one parallel discovery batch.
     pub worker_panic: Option<WorkerPanic>,
-    /// Panic one worker of one parallel *insert-commit* batch (the
-    /// per-shard commit fan-out of a staged trigger-application batch).
-    /// Insert batches are numbered per run in dispatch order starting
-    /// at 0, independently of discovery batch numbering.
-    pub insert_panic: Option<WorkerPanic>,
     /// Report the deadline as expired once `steps >= n` (checked at
     /// every governor poll).
     pub deadline_at_step: Option<usize>,
@@ -96,15 +91,8 @@ impl FaultPlan {
         let deadline_at_step = (rng.below(2) == 0).then(|| rng.below(6));
         let cancel_at_step = (rng.below(2) == 0).then(|| rng.below(6));
         let sink_fail_after = (rng.below(2) == 0).then(|| rng.below(10) as u64);
-        // Drawn last so existing seeds keep their discovery-era plans
-        // for the other arms.
-        let insert_panic = (rng.below(2) == 0).then(|| WorkerPanic {
-            batch: rng.below(3) as u32,
-            worker: rng.below(8) as u32,
-        });
         FaultPlan {
             worker_panic,
-            insert_panic,
             deadline_at_step,
             cancel_at_step,
             sink_fail_after,
@@ -135,13 +123,6 @@ impl FaultPlan {
     /// `batch`, if any.
     pub fn panic_worker_in(&self, batch: u32) -> Option<u32> {
         self.worker_panic
-            .and_then(|wp| (wp.batch == batch).then_some(wp.worker))
-    }
-
-    /// The worker index instructed to panic in insert-commit batch
-    /// `batch`, if any.
-    pub fn panic_worker_in_insert(&self, batch: u32) -> Option<u32> {
-        self.insert_panic
             .and_then(|wp| (wp.batch == batch).then_some(wp.worker))
     }
 }
@@ -233,7 +214,6 @@ mod tests {
     fn seeds_cover_every_fault_arm() {
         let plans: Vec<FaultPlan> = (0..256).map(FaultPlan::from_seed).collect();
         assert!(plans.iter().any(|p| p.worker_panic.is_some()));
-        assert!(plans.iter().any(|p| p.insert_panic.is_some()));
         assert!(plans.iter().any(|p| p.deadline_at_step.is_some()));
         assert!(plans.iter().any(|p| p.cancel_at_step.is_some()));
         assert!(plans.iter().any(|p| p.sink_fail_after.is_some()));
@@ -286,18 +266,6 @@ mod tests {
         assert_eq!(plan.panic_worker_in(0), None);
         assert_eq!(plan.panic_worker_in(2), Some(1));
         assert_eq!(plan.panic_worker_in(3), None);
-        // Discovery and insert-commit numbering are independent.
-        assert_eq!(plan.panic_worker_in_insert(2), None);
-        let plan = FaultPlan {
-            insert_panic: Some(WorkerPanic {
-                batch: 1,
-                worker: 3,
-            }),
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.panic_worker_in_insert(0), None);
-        assert_eq!(plan.panic_worker_in_insert(1), Some(3));
-        assert_eq!(plan.panic_worker_in(1), None);
     }
 
     #[test]

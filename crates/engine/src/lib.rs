@@ -18,7 +18,7 @@
 //! * [`driver`] — batched, optionally parallel, panic-safe trigger
 //!   discovery;
 //! * [`pool`] — the persistent work-stealing worker pool behind
-//!   parallel discovery and parallel restriction checks;
+//!   parallel discovery;
 //! * [`governor`] — budgets, deadlines and cooperative cancellation
 //!   for chase runs;
 //! * [`faults`] — deterministic fault injection for resilience tests;

@@ -25,9 +25,7 @@ use chase_telemetry::{
     NullObserver, NO_TGD,
 };
 
-use crate::driver::{
-    collect_batch, estimated_batch_work, BatchControl, FpVars, Parallelism, MIN_PARALLEL_ROWS,
-};
+use crate::driver::{collect_batch, go_parallel, BatchControl, FpVars, Parallelism};
 use crate::governor::{Budget, Outcome, ResourceGovernor};
 use crate::pool::DiscoveryPool;
 use crate::profiling::{
@@ -87,7 +85,7 @@ impl<'a> ObliviousChase<'a> {
         self
     }
 
-    /// Minimum [`estimated_batch_work`] (a join-aware model over batch
+    /// Minimum [`estimated_batch_work`](crate::driver::estimated_batch_work) (a join-aware model over batch
     /// rows — instance atoms for the seed batch, fresh atoms for a
     /// delta batch — and per-TGD body width) before a discovery batch
     /// is fanned out under [`Parallelism::On`]. A threshold of `0`
@@ -114,23 +112,13 @@ impl<'a> ObliviousChase<'a> {
         self
     }
 
-    /// Sets the step-span sampling cadence (default 16, step 0 always
-    /// sampled; `1` spans every step — see
+    /// Sets the step-span sampling cadence (default
+    /// [`DEFAULT_PROFILE_SAMPLE_EVERY`], step 0 always sampled; `1`
+    /// spans every step — see
     /// [`crate::restricted::RestrictedChase::profile_sample_every`]).
     pub fn profile_sample_every(mut self, steps: u64) -> Self {
         self.profile_sample_every = steps.max(1);
         self
-    }
-
-    fn go_parallel(&self, batch_rows: usize) -> bool {
-        if self.parallelism != Parallelism::On {
-            return false;
-        }
-        if self.parallel_threshold == 0 {
-            return true;
-        }
-        batch_rows >= MIN_PARALLEL_ROWS
-            && estimated_batch_work(self.set, batch_rows) >= self.parallel_threshold
     }
 
     /// The fingerprint layout identifying triggers under the policy.
@@ -261,7 +249,14 @@ impl<'a> ObliviousChase<'a> {
 
         let mut batch_idx: u32 = 0;
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        if fan_out && self.go_parallel(instance.len()) {
+        if fan_out
+            && go_parallel(
+                self.set,
+                self.parallelism,
+                self.parallel_threshold,
+                instance.len(),
+            )
+        {
             let batch = collect_batch(
                 self.set,
                 &instance,
@@ -416,7 +411,15 @@ impl<'a> ObliviousChase<'a> {
             });
             let match_guard =
                 span_enter_sampled(obs, spans::MATCH, trigger.tgd.0, sampled, insert_end);
-            if fan_out && !new_slots.is_empty() && self.go_parallel(new_slots.len()) {
+            if fan_out
+                && !new_slots.is_empty()
+                && go_parallel(
+                    self.set,
+                    self.parallelism,
+                    self.parallel_threshold,
+                    new_slots.len(),
+                )
+            {
                 let batch = collect_batch(
                     self.set,
                     &instance,

@@ -8,9 +8,9 @@
 //!
 //! * worker threads are spawned **once** (lazily, on the first batch
 //!   that wants them) and parked on a condvar between batches;
-//! * each worker owns a persistent [`WorkerScratch`] (matcher arena,
-//!   activeness probe arena, binding buffer) reused across every batch
-//!   of the run — the per-batch allocation noted in PR 2's docs is
+//! * each worker owns a persistent [`WorkerScratch`] (matcher arena
+//!   and activeness probe arena) reused across every batch of the
+//!   run — the per-batch allocation noted in PR 2's docs is
 //!   gone;
 //! * batches are dispatched as borrowed jobs: the driving thread
 //!   publishes a closure, wakes the workers, and blocks until every
@@ -46,7 +46,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use chase_core::hom::HomScratch;
-use chase_core::subst::Binding;
 
 /// Per-worker reusable scratch state, persisting across batches for
 /// the lifetime of the pool (or the run, for the driving thread's
@@ -57,9 +56,6 @@ pub struct WorkerScratch {
     pub matcher: HomScratch,
     /// Probes head satisfaction for activeness prescreens.
     pub probe: HomScratch,
-    /// Rebuilds bindings from arena spans (parallel restriction
-    /// checks).
-    pub binding: Binding,
 }
 
 impl WorkerScratch {
@@ -340,17 +336,15 @@ mod tests {
         let mut pool = ChasePool::new(2);
         let seen_mark = AtomicUsize::new(0);
         pool.run_batch(2, None, &|w, scratch| {
-            scratch.binding.clear();
-            scratch.binding.push(chase_core::ids::VarId(w as u32), {
+            let mut mark = chase_core::subst::Binding::new();
+            mark.push(chase_core::ids::VarId(w as u32), {
                 chase_core::term::Term::Const(chase_core::ids::ConstId(7))
             });
+            scratch.matcher.put_binding(mark);
         });
         pool.run_batch(2, None, &|w, scratch| {
-            if scratch
-                .binding
-                .get(chase_core::ids::VarId(w as u32))
-                .is_some()
-            {
+            let mark = scratch.matcher.take_binding();
+            if mark.get(chase_core::ids::VarId(w as u32)).is_some() {
                 seen_mark.fetch_add(1, Ordering::SeqCst);
             }
         });
@@ -396,7 +390,7 @@ mod tests {
         let mut dp = DiscoveryPool::new(Some(3));
         assert_eq!(dp.target_workers(), 3);
         assert!(!dp.spawned(), "construction must not spawn threads");
-        dp.inline_scratch().binding.clear();
+        let _ = dp.inline_scratch();
         assert!(!dp.spawned());
         assert_eq!(dp.pool().threads(), 3);
         assert!(dp.spawned());

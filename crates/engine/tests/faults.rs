@@ -102,65 +102,6 @@ fn faults_worker_panic_is_bit_identical_to_a_clean_run() {
     }
 }
 
-/// A worker panicking *during a parallel insert commit* (the per-shard
-/// fan-out of a staged trigger-application batch) must be contained:
-/// the injection fires before the worker touches any shard, `finish`
-/// repairs the orphaned shards inline on the calling thread, and the
-/// run proceeds to a bit-identical outcome, instance and derivation —
-/// the event stream differs only by the `WorkerPanicked` report.
-#[test]
-fn faults_insert_commit_worker_panic_is_contained() {
-    let mut vocab = Vocabulary::new();
-    let (db, set) = build(&mut vocab);
-    let budget = Budget::steps(25);
-    let workers = 3usize;
-    let run_forced = |gov: &ResourceGovernor| {
-        let mut rec = RecordingObserver::default();
-        let run = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .parallel_threshold(0)
-            .workers(workers)
-            .run_governed_observed(&db, gov, &mut rec);
-        (run, rec.events)
-    };
-    let (baseline, baseline_events) = run_forced(&ResourceGovernor::from_budget(budget));
-    assert_eq!(baseline.outcome, Outcome::BudgetExhausted);
-
-    let mut total_panics = 0u32;
-    for batch in 0..3u32 {
-        for worker in 0..workers as u32 {
-            let gov = ResourceGovernor::from_budget(budget).with_faults(FaultPlan {
-                insert_panic: Some(WorkerPanic { batch, worker }),
-                ..FaultPlan::default()
-            });
-            let (run, events) = run_forced(&gov);
-            assert_runs_identical(&run, &baseline);
-            let panics = events
-                .iter()
-                .filter(|e| matches!(e, Event::WorkerPanicked { .. }))
-                .count();
-            assert!(
-                panics <= 1,
-                "batch {batch} worker {worker}: {panics} panics"
-            );
-            total_panics += panics as u32;
-            let without_panics: Vec<&Event> = events
-                .iter()
-                .filter(|e| !matches!(e, Event::WorkerPanicked { .. }))
-                .collect();
-            let baseline_refs: Vec<&Event> = baseline_events.iter().collect();
-            assert_eq!(
-                without_panics, baseline_refs,
-                "batch {batch} worker {worker}"
-            );
-        }
-    }
-    // The fault arm genuinely fired: with three forced workers and
-    // threshold 0, this program dispatches parallel insert commits, so
-    // at least one scripted (batch, worker) pair must have landed.
-    assert!(total_panics > 0, "no insert-commit panic was ever injected");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 

@@ -82,9 +82,9 @@ fn observe_restricted(set: &TgdSet, db: &Instance, parallel: bool) -> Observed {
     observe_restricted_with(set, db, parallel, None)
 }
 
-/// `observe_restricted` with an explicit worker-thread cap, so the
-/// parallel check/apply fast path engages regardless of host core
-/// count (a single-core host otherwise never fans out).
+/// `observe_restricted` with an explicit worker-thread cap, so
+/// parallel discovery engages regardless of host core count (a
+/// single-core host otherwise never fans out).
 fn observe_restricted_with(
     set: &TgdSet,
     db: &Instance,
@@ -150,9 +150,9 @@ proptest! {
         }
     }
 
-    /// Parallel restricted chase (threshold 0 forces the batch path and
-    /// the sharded restriction checks): still bit-identical, for every
-    /// shard count, to the unsharded sequential baseline.
+    /// Parallel restricted chase (threshold 0 forces every discovery
+    /// batch onto the pool): still bit-identical, for every shard
+    /// count, to the unsharded sequential baseline.
     #[test]
     fn shard_count_is_invisible_to_the_parallel_driver(
         rules in 0usize..RULES.len(),
@@ -166,12 +166,12 @@ proptest! {
         }
     }
 
-    /// Parallel trigger *application* (DESIGN.md §16): mask-disjoint
-    /// batches stage their verdicts, nulls and pre-reserved slot ids
-    /// ahead of the replay, and the per-shard commit work fans out
-    /// over the pool. Across worker counts {1, 2, 4} × shard counts
-    /// {1, 2, 4, 7}, outcome, step count, every slot id and the full
-    /// telemetry stream must equal the unsharded sequential baseline.
+    /// Force-parallel runs at explicit worker counts (DESIGN.md §16):
+    /// discovery fans out over the pool while checks and applications
+    /// run in queue order on the driving thread. Across worker counts
+    /// {1, 2, 4} × shard counts {1, 2, 4, 7}, outcome, step count,
+    /// every slot id and the full telemetry stream must equal the
+    /// unsharded sequential baseline.
     #[test]
     fn parallel_apply_is_bit_identical_across_threads_and_shards(
         rules in 0usize..RULES.len(),
@@ -188,7 +188,7 @@ proptest! {
                     Some(threads),
                 );
                 assert_same(
-                    &format!("rules {rules}, {n} shards, {threads} threads, parallel apply"),
+                    &format!("rules {rules}, {n} shards, {threads} threads, parallel"),
                     &base,
                     &other,
                 )?;

@@ -8,11 +8,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== no build artifacts tracked or staged =="
-if [ -n "$(git ls-files --cached target 2>/dev/null)" ]; then
-    echo "ERROR: target/ paths are tracked or staged; run 'git rm -r --cached target'" >&2
-    git ls-files --cached target | head >&2
-    exit 1
-fi
+# target/ is cargo's build output; crates/bench/target-bench/ is
+# benchmark output that nothing in the repo reads or regenerates.
+for artifacts in target crates/bench/target-bench; do
+    if [ -n "$(git ls-files --cached "$artifacts" 2>/dev/null)" ]; then
+        echo "ERROR: $artifacts/ paths are tracked or staged; run 'git rm -r --cached $artifacts'" >&2
+        git ls-files --cached "$artifacts" | head >&2
+        exit 1
+    fi
+done
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -26,11 +30,14 @@ cargo test --offline -q
 echo "== incremental-equivalence property suite (watermarks vs seed) =="
 cargo test --offline -q --test incremental_equivalence
 
-echo "== parallel-apply equivalence suite (staged apply vs seed oracle, threads x shards) =="
-# Bit-identity of the staged apply phase: outcome, step count, slot
+echo "== forced-worker equivalence suite (parallel discovery vs seed oracle, threads x shards) =="
+# Parallel runs fan discovery out over the pool; restriction checks
+# and trigger application stay sequential. Outcome, step count, slot
 # ids, telemetry stream and derivation replay must match the
 # sequential run for every tested worker x shard combination. Worker
-# counts are forced (`.workers(n)`), so this holds on any host.
+# counts are forced (`.workers(n)`), so this holds on any host. The
+# filter selects the `parallel_apply_*` proptests, which run the whole
+# parallel engine (discovery on the pool, apply on the driving thread).
 cargo test --offline -q --test incremental_equivalence parallel_apply
 cargo test --offline -q -p chase-engine --test shard_equivalence parallel_apply
 

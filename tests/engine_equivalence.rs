@@ -48,7 +48,8 @@ proptest! {
     })]
 
     /// Restricted chase: every strategy, sequential and parallel,
-    /// agrees exactly with the frozen seed engine.
+    /// agrees exactly with the frozen seed engine. The parallel arm
+    /// forces two workers, so discovery fans out on any host.
     #[test]
     fn optimised_restricted_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -69,6 +70,7 @@ proptest! {
                 .strategy(strategy)
                 .parallelism(Parallelism::On)
                 .parallel_threshold(0)
+                .workers(2)
                 .run(&db, budget);
             assert_runs_equal(&reference, &parallel, &format!("{strategy:?}/On"))?;
         }

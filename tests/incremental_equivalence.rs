@@ -65,10 +65,11 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Watermarked restricted chase (sequential and force-parallel)
-    /// agrees exactly with the frozen seed engine on outcome, step
-    /// count, and final instance; the seq and par drivers additionally
-    /// record identical derivations (the seed engine records none).
+    /// Watermarked restricted chase (sequential and force-parallel
+    /// with two workers, so discovery fans out on any host) agrees
+    /// exactly with the frozen seed engine on outcome, step count, and
+    /// final instance; the seq and par drivers additionally record
+    /// identical derivations (the seed engine records none).
     #[test]
     fn watermarked_restricted_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -84,7 +85,10 @@ proptest! {
             for (label, parallel) in [("Off", false), ("On", true)] {
                 let engine = RestrictedChase::new(&set).strategy(strategy);
                 let engine = if parallel {
-                    engine.parallelism(Parallelism::On).parallel_threshold(0)
+                    engine
+                        .parallelism(Parallelism::On)
+                        .parallel_threshold(0)
+                        .workers(2)
                 } else {
                     engine.parallelism(Parallelism::Off)
                 };
@@ -156,13 +160,13 @@ proptest! {
         prop_assert_eq!(seq_obs.events, par_obs.events);
     }
 
-    /// Parallel trigger application against the frozen seed oracle:
-    /// with the apply phase staging verdicts, nulls and slot ids ahead
-    /// of the replay and committing per-shard on the pool, every
-    /// worker count {1, 2, 4} × shard count {1, 2, 4, 7} must still
-    /// equal the seed run (outcome, steps, instance), emit the exact
-    /// sequential telemetry stream, and record a derivation that
-    /// replays cleanly through `Derivation::validate`.
+    /// Force-parallel runs against the frozen seed oracle: with every
+    /// discovery batch fanned out and checks and applications run in
+    /// queue order on the driving thread, every worker count
+    /// {1, 2, 4} × shard count {1, 2, 4, 7} must still equal the seed
+    /// run (outcome, steps, instance), emit the exact sequential
+    /// telemetry stream, and record a derivation that replays cleanly
+    /// through `Derivation::validate`.
     #[test]
     fn parallel_apply_equals_seed_across_threads_and_shards(
         seed in 0u64..5_000,
