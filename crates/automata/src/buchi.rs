@@ -5,9 +5,14 @@
 //! Büchi automaton whose state space is finite but astronomically
 //! large if materialised eagerly. This module therefore works with an
 //! *implicit* automaton: a trait supplying initial states, a finite
-//! alphabet and a transition function; states are interned on the fly
-//! and only the reachable fragment is ever built.
+//! alphabet and a transition function. [`Explorer::emptiness`] runs one
+//! depth-first search that interns states as it reaches them (the
+//! initial ones up front) and stops at the first accepting cycle, so a
+//! non-empty language usually costs a small fragment of the reachable
+//! graph; only an empty language is explored in full.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// An implicitly represented Büchi automaton, deterministic per input
@@ -44,19 +49,22 @@ pub struct Lasso<Sym> {
     pub cycle: Vec<Sym>,
 }
 
-/// Outcome of an emptiness check.
+/// Outcome of an emptiness check over states `S` and symbols `Sym`.
 #[derive(Debug, Clone)]
-pub enum Emptiness<Sym> {
-    /// `L(A) = ∅` within the explored fragment, which is exhaustive.
+pub enum Emptiness<S, Sym> {
+    /// `L(A) = ∅`; the search explored every reachable state.
     Empty {
         /// Number of reachable states.
         states: usize,
     },
     /// A witness lasso was found.
     NonEmpty {
+        /// The initial state the lasso runs from.
+        start: S,
         /// The accepting lasso.
         lasso: Lasso<Sym>,
-        /// Number of states explored before the witness was returned.
+        /// Number of states explored before the witness was returned
+        /// (at most the reachable count, usually far fewer).
         states: usize,
     },
     /// The state cap was hit before the search finished; the result is
@@ -67,7 +75,7 @@ pub enum Emptiness<Sym> {
     },
 }
 
-impl<Sym> Emptiness<Sym> {
+impl<S, Sym> Emptiness<S, Sym> {
     /// `true` iff the language was proven empty.
     pub fn is_empty_language(&self) -> bool {
         matches!(self, Emptiness::Empty { .. })
@@ -88,15 +96,6 @@ pub struct Explorer<A: BuchiAutomaton> {
     cap: usize,
 }
 
-struct ReachableGraph<S, Sym> {
-    states: Vec<S>,
-    /// Edges `(from, symbol index, to)`.
-    edges: Vec<(usize, usize, usize)>,
-    accepting: Vec<bool>,
-    initial: Vec<usize>,
-    symbols: Vec<Sym>,
-}
-
 impl<A: BuchiAutomaton> Explorer<A> {
     /// Creates an explorer with a state cap (resource guard).
     pub fn new(automaton: A, cap: usize) -> Self {
@@ -108,117 +107,206 @@ impl<A: BuchiAutomaton> Explorer<A> {
         &self.automaton
     }
 
-    fn build_graph(&self) -> Result<ReachableGraph<A::State, A::Symbol>, usize> {
-        use std::collections::hash_map::Entry;
-        use std::collections::HashMap;
+    /// Decides emptiness with one on-the-fly depth-first search
+    /// (Couvreur's SCC-based check): the language is non-empty iff
+    /// some reachable accepting state lies on a cycle.
+    ///
+    /// The initial states are interned up front and never count
+    /// against the cap; any other state is interned when first
+    /// reached, and one that would take the count past the cap gives
+    /// `Capped` (the rule of a full exploration, which the search
+    /// therefore hits only where a full exploration would). A stack of
+    /// partial-SCC roots carries an "accepting state seen" flag, and
+    /// the search stops at the first edge that merges a partial SCC
+    /// holding an accepting state. The witness lasso is then read off
+    /// the explored subgraph: shortest within that fragment, not
+    /// within the whole automaton. The state count is the number of
+    /// states the search entered: on an empty language, which is
+    /// explored exhaustively, the full reachable count.
+    pub fn emptiness(&self) -> Emptiness<A::State, A::Symbol> {
         let symbols = self.automaton.alphabet();
-        let mut states: Vec<A::State> = Vec::new();
-        let mut index: HashMap<A::State, usize> = HashMap::new();
-        let mut edges = Vec::new();
-        let mut initial = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        for s in self.automaton.initial_states() {
-            match index.entry(s.clone()) {
-                Entry::Occupied(e) => initial.push(*e.get()),
-                Entry::Vacant(e) => {
-                    let id = states.len();
-                    e.insert(id);
-                    states.push(s);
-                    initial.push(id);
-                    queue.push_back(id);
+        let mut search = Search::default();
+        let initial: Vec<usize> = self
+            .automaton
+            .initial_states()
+            .into_iter()
+            .map(|s| {
+                search
+                    .intern(&self.automaton, s, usize::MAX)
+                    .expect("initial states are never capped")
+            })
+            .collect();
+        for &root in &initial {
+            if search.order[root] != UNVISITED {
+                continue;
+            }
+            search.enter(root);
+            while let Some(frame) = search.call.last_mut() {
+                let (v, si) = *frame;
+                if si == symbols.len() {
+                    search.leave(v);
+                    continue;
+                }
+                frame.1 += 1;
+                let Some(next) = self.automaton.next(&search.states[v], &symbols[si]) else {
+                    continue;
+                };
+                let Some(w) = search.intern(&self.automaton, next, self.cap) else {
+                    return Emptiness::Capped { cap: self.cap };
+                };
+                search.adj[v].push((si, w));
+                if search.order[w] == UNVISITED {
+                    search.enter(w);
+                } else if search.live[w] && search.merge(w) {
+                    return search.lasso(&initial, &symbols);
                 }
             }
         }
-        while let Some(u) = queue.pop_front() {
-            for (si, sym) in symbols.iter().enumerate() {
-                let Some(next) = self.automaton.next(&states[u], sym) else {
-                    continue;
-                };
-                let v = match index.entry(next.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if states.len() >= self.cap {
-                            return Err(self.cap);
-                        }
-                        let id = states.len();
-                        e.insert(id);
-                        states.push(next);
-                        queue.push_back(id);
-                        id
-                    }
-                };
-                edges.push((u, si, v));
+        Emptiness::Empty {
+            states: search.visited,
+        }
+    }
+}
+
+/// Marks a state that is interned but not yet entered by the search.
+const UNVISITED: usize = usize::MAX;
+
+/// The explored subgraph plus the state of Couvreur's search over it,
+/// indexed by interned state id.
+struct Search<S> {
+    states: Vec<S>,
+    index: HashMap<S, usize>,
+    accepting: Vec<bool>,
+    /// Explored edges `(symbol index, to)`.
+    adj: Vec<Vec<(usize, usize)>>,
+    /// Depth-first visit number; `UNVISITED` until entered.
+    order: Vec<usize>,
+    /// Whether the state sits in a partial SCC that is still open.
+    live: Vec<bool>,
+    /// Tarjan's stack of open states, in visit order.
+    open: Vec<usize>,
+    /// Roots of the open partial SCCs: (visit number, accepting state
+    /// seen in the component).
+    roots: Vec<(usize, bool)>,
+    /// Search frames: (state, next symbol index).
+    call: Vec<(usize, usize)>,
+    /// States entered so far.
+    visited: usize,
+}
+
+impl<S> Default for Search<S> {
+    fn default() -> Self {
+        Search {
+            states: Vec::new(),
+            index: HashMap::new(),
+            accepting: Vec::new(),
+            adj: Vec::new(),
+            order: Vec::new(),
+            live: Vec::new(),
+            open: Vec::new(),
+            roots: Vec::new(),
+            call: Vec::new(),
+            visited: 0,
+        }
+    }
+}
+
+impl<S: Clone + Eq + Hash> Search<S> {
+    /// The id of `state`, interning it if new; `None` if that would
+    /// take the state count past `cap`.
+    fn intern<A>(&mut self, automaton: &A, state: S, cap: usize) -> Option<usize>
+    where
+        A: BuchiAutomaton<State = S>,
+    {
+        match self.index.entry(state) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                if self.states.len() >= cap {
+                    return None;
+                }
+                let id = self.states.len();
+                self.accepting.push(automaton.is_accepting(e.key()));
+                self.states.push(e.key().clone());
+                e.insert(id);
+                self.adj.push(Vec::new());
+                self.order.push(UNVISITED);
+                self.live.push(false);
+                Some(id)
             }
         }
-        let accepting = states
-            .iter()
-            .map(|s| self.automaton.is_accepting(s))
-            .collect();
-        Ok(ReachableGraph {
-            states,
-            edges,
-            accepting,
-            initial,
-            symbols,
-        })
     }
 
-    /// Decides emptiness by SCC analysis of the reachable graph: the
-    /// language is non-empty iff some accepting state lies in a
-    /// non-trivial SCC (or has a self-loop). Returns a witness lasso
-    /// in that case.
-    pub fn emptiness(&self) -> Emptiness<A::Symbol> {
-        let graph = match self.build_graph() {
-            Ok(g) => g,
-            Err(cap) => return Emptiness::Capped { cap },
-        };
-        let n = graph.states.len();
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (symbol, to)
-        for &(f, s, t) in &graph.edges {
-            adj[f].push((s, t));
+    /// Enters `v` as a new trivial partial SCC.
+    fn enter(&mut self, v: usize) {
+        self.order[v] = self.visited;
+        self.roots.push((self.visited, self.accepting[v]));
+        self.visited += 1;
+        self.live[v] = true;
+        self.open.push(v);
+        self.call.push((v, 0));
+    }
+
+    /// Leaves `v` once all its successors are explored; if `v` roots
+    /// its partial SCC, that SCC is complete and closes.
+    fn leave(&mut self, v: usize) {
+        self.call.pop();
+        if self.roots.last().is_some_and(|&(r, _)| r == self.order[v]) {
+            self.roots.pop();
+            loop {
+                let w = self.open.pop().expect("root is open");
+                self.live[w] = false;
+                if w == v {
+                    break;
+                }
+            }
         }
-        let comp = sccs(n, &adj);
-        // Size of each component and self-loops.
+    }
+
+    /// Handles an edge into the open state `w`: every partial SCC
+    /// from `w`'s up to the current one becomes one. Returns whether
+    /// the merged component holds an accepting state, which then lies
+    /// on a cycle.
+    fn merge(&mut self, w: usize) -> bool {
+        let mut seen = false;
+        while self.roots.last().is_some_and(|&(r, _)| r > self.order[w]) {
+            seen |= self.roots.pop().expect("checked non-empty").1;
+        }
+        let top = self.roots.last_mut().expect("w's component is open");
+        top.1 |= seen;
+        top.1
+    }
+
+    /// Reads a witness off the explored subgraph, which holds an
+    /// accepting state on a cycle: the shortest prefix from an initial
+    /// state to the first such state `q`, then the shortest non-empty
+    /// cycle `q → q` inside `q`'s component.
+    fn lasso<Sym: Clone>(&self, initial: &[usize], symbols: &[Sym]) -> Emptiness<S, Sym> {
+        let (adj, n) = (&self.adj, self.states.len());
+        let comp = sccs(n, adj);
         let mut comp_size = vec![0usize; n];
         for &c in &comp {
             comp_size[c] += 1;
         }
-        let mut target = None;
-        'outer: for q in 0..n {
-            if !graph.accepting[q] {
-                continue;
-            }
-            let nontrivial = comp_size[comp[q]] > 1 || adj[q].iter().any(|&(_, t)| t == q);
-            if nontrivial {
-                target = Some(q);
-                break 'outer;
-            }
-        }
-        let Some(q) = target else {
-            return Emptiness::Empty { states: n };
-        };
-        // Witness: shortest prefix init → q, then shortest non-empty
-        // cycle q → q inside the component.
-        let prefix = bfs_path(&adj, &graph.initial, |v| v == q).expect("q reachable");
-        let cycle = bfs_cycle(&adj, q, &comp).expect("q on a cycle");
+        let q = (0..n)
+            .find(|&q| {
+                self.accepting[q] && (comp_size[comp[q]] > 1 || adj[q].iter().any(|&(_, t)| t == q))
+            })
+            .expect("the explored subgraph holds an accepting cycle");
+        let (start, prefix) = bfs_path(adj, initial, |v| v == q).expect("q reachable");
+        let cycle = bfs_cycle(adj, q, &comp).expect("q on a cycle");
         let to_syms = |path: Vec<usize>| {
             path.into_iter()
-                .map(|si| graph.symbols[si].clone())
+                .map(|si| symbols[si].clone())
                 .collect::<Vec<_>>()
         };
         Emptiness::NonEmpty {
+            start: self.states[start].clone(),
             lasso: Lasso {
                 prefix: to_syms(prefix),
                 cycle: to_syms(cycle),
             },
-            states: n,
+            states: self.visited,
         }
-    }
-
-    /// The number of reachable states (diagnostics / benchmarks), or
-    /// `None` if the cap is hit.
-    pub fn reachable_states(&self) -> Option<usize> {
-        self.build_graph().ok().map(|g| g.states.len())
     }
 }
 
@@ -277,12 +365,13 @@ fn sccs(n: usize, adj: &[Vec<(usize, usize)>]) -> Vec<usize> {
     comp
 }
 
-/// BFS from `starts` until `goal` holds; returns the symbol sequence.
+/// BFS from `starts` until `goal` holds; returns the start node the
+/// path leaves from and its symbol sequence.
 fn bfs_path(
     adj: &[Vec<(usize, usize)>],
     starts: &[usize],
     goal: impl Fn(usize) -> bool,
-) -> Option<Vec<usize>> {
+) -> Option<(usize, Vec<usize>)> {
     let n = adj.len();
     let mut prev: Vec<Option<(usize, usize)>> = vec![None; n]; // (from, symbol)
     let mut visited = vec![false; n];
@@ -315,7 +404,7 @@ fn bfs_path(
         cur = from;
     }
     path.reverse();
-    Some(path)
+    Some((cur, path))
 }
 
 /// Shortest non-empty cycle through `q` staying inside `q`'s SCC.
@@ -343,7 +432,7 @@ fn bfs_cycle(adj: &[Vec<(usize, usize)>], q: usize, comp: &[usize]) -> Option<Ve
                 }
             })
             .collect();
-        if let Some(back) = bfs_path(&restricted, &[first], |v| v == q) {
+        if let Some((_, back)) = bfs_path(&restricted, &[first], |v| v == q) {
             let mut cycle = vec![sym];
             cycle.extend(back);
             return Some(cycle);
@@ -404,7 +493,12 @@ mod tests {
             1000,
         );
         match e.emptiness() {
-            Emptiness::NonEmpty { lasso, states } => {
+            Emptiness::NonEmpty {
+                start,
+                lasso,
+                states,
+            } => {
+                assert_eq!(start, 0);
                 assert_eq!(states, 5);
                 assert!(!lasso.cycle.is_empty());
                 // Replay the lasso and check it visits state 3 in the cycle.
@@ -492,15 +586,68 @@ mod tests {
     }
 
     #[test]
-    fn reachable_state_count() {
+    fn empty_language_counts_every_reachable_state() {
         let e = Explorer::new(
             Toy {
                 modulus: 7,
-                accept: 0,
+                accept: 9,
                 trap: false,
             },
             1000,
         );
-        assert_eq!(e.reachable_states(), Some(7));
+        assert!(matches!(e.emptiness(), Emptiness::Empty { states: 7 }));
+    }
+
+    /// States `0..n`: symbol 0 moves `0 ⇄ 1` (1 accepting), symbol 1
+    /// walks the chain `0 → 2 → 3 → … → n-1`.
+    struct EarlyLoop {
+        n: usize,
+    }
+
+    impl BuchiAutomaton for EarlyLoop {
+        type State = usize;
+        type Symbol = u8;
+
+        fn initial_states(&self) -> Vec<usize> {
+            vec![0]
+        }
+
+        fn alphabet(&self) -> Vec<u8> {
+            vec![0, 1]
+        }
+
+        fn next(&self, state: &usize, symbol: &u8) -> Option<usize> {
+            match (*state, *symbol) {
+                (0, 0) => Some(1),
+                (1, 0) => Some(0),
+                (0, 1) => Some(2),
+                (s, 1) if s >= 2 && s + 1 < self.n => Some(s + 1),
+                _ => None,
+            }
+        }
+
+        fn is_accepting(&self, state: &usize) -> bool {
+            *state == 1
+        }
+    }
+
+    #[test]
+    fn search_stops_at_the_first_accepting_cycle() {
+        // 100 reachable states, but the lasso 0 → (1 → 0)ᵚ closes
+        // after two; a cap far below the reachable count is not hit.
+        let e = Explorer::new(EarlyLoop { n: 100 }, 5);
+        match e.emptiness() {
+            Emptiness::NonEmpty {
+                start,
+                lasso,
+                states,
+            } => {
+                assert_eq!(start, 0);
+                assert_eq!(states, 2);
+                assert_eq!(lasso.prefix, vec![0]);
+                assert_eq!(lasso.cycle, vec![0, 0]);
+            }
+            other => panic!("expected NonEmpty, got {other:?}"),
+        }
     }
 }

@@ -10,8 +10,11 @@ use chase_engine::oblivious::ObliviousChase;
 use chase_engine::real_oblivious::{OchaseLimits, RealOchase};
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase, Strategy};
 use chase_engine::skolem::{SkolemPolicy, SkolemTable};
+use chase_telemetry::names;
 use chase_telemetry::summary::format_nanos;
-use chase_termination::{DeciderConfig, TerminationCertificate, TerminationVerdict};
+use chase_termination::{
+    decide_with_telemetry, DeciderConfig, TerminationCertificate, TerminationVerdict,
+};
 use chase_workloads::families;
 use chase_workloads::runner::run_labelled_suite;
 use chase_workloads::suite::{labelled_suite, Expected};
@@ -248,6 +251,16 @@ fn e6_e7_e8() {
         ) = chase_termination::sticky::decide_sticky(&set, &vocab, &config)
         {
             print!("  {a}→{states}");
+        }
+    }
+    println!();
+    print!("sticky automaton states explored to a witness (arity_shift, non-terminating):");
+    for a in 2usize..=5 {
+        let (vocab, set, _) = setup(&families::arity_shift(a));
+        let (verdict, summary) = decide_with_telemetry(&set, &vocab, &config);
+        if verdict.is_non_terminating() {
+            let explored = summary.counter(names::AUTOMATON_STATES).unwrap_or(0);
+            print!("  {a}→{explored}");
         }
     }
     println!("\n");

@@ -125,7 +125,9 @@ pub mod names {
     pub const RUNS_INTERRUPTED: &str = "runs.interrupted";
     /// Telemetry sink write failures (events dropped, run unharmed).
     pub const SINK_IO_ERRORS: &str = "sink.io_errors";
-    /// Büchi states explored by the sticky decider.
+    /// Büchi states the sticky decider explored until its verdict:
+    /// the full reachable count when the automaton is empty, fewer
+    /// once an accepting lasso is found, the cap when it was hit.
     pub const AUTOMATON_STATES: &str = "sticky.automaton_states";
     /// Acyclic seed instances tried by the guarded decider.
     pub const GUARDED_SEEDS: &str = "guarded.seeds_tried";

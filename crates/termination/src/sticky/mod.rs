@@ -463,20 +463,14 @@ pub fn decide_sticky_observed<O: ChaseObserver + ?Sized>(
             TerminationCertificate::StickyAutomatonEmpty { states },
         ),
         Emptiness::Capped { cap } => TerminationVerdict::Unknown {
-            reason: format!("automaton state cap {cap} reached"),
+            reason: format!("sticky.emptiness: automaton state cap {cap} reached"),
         },
-        Emptiness::NonEmpty { lasso, .. } => time_phase(obs, "sticky.witness", |_| {
-            // Re-derive the initial state the lasso starts from. The
-            // explorer starts BFS from all initial states; to realise
-            // the witness we must know which one. We simply try each.
-            let automaton = StickyAutomaton::new(set, vocab);
-            for init in automaton.initial_states() {
-                if let Some(w) = witness::realise(set, vocab, &automaton, &init, &lasso, config) {
-                    return TerminationVerdict::NonTerminating(Box::new(w));
-                }
-            }
-            TerminationVerdict::Unknown {
-                reason: "accepting lasso found but witness realisation failed (bug?)".into(),
+        Emptiness::NonEmpty { start, lasso, .. } => time_phase(obs, "sticky.witness", |_| {
+            match witness::realise(set, vocab, explorer.automaton(), &start, &lasso, config) {
+                Some(w) => TerminationVerdict::NonTerminating(Box::new(w)),
+                None => TerminationVerdict::Unknown {
+                    reason: "accepting lasso found but witness realisation failed (bug?)".into(),
+                },
             }
         }),
     }

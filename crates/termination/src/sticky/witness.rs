@@ -39,8 +39,9 @@ enum LegNaming {
     FreshEachIteration,
 }
 
-/// Tries to realise `lasso` starting from `init`; returns a validated
-/// witness or `None` if this initial state does not carry the lasso.
+/// Realises `lasso` starting from `init`, the initial state the
+/// explorer reported; returns a validated witness, or `None` if the
+/// lasso does not run from `init` or no realisation passes replay.
 pub fn realise(
     set: &TgdSet,
     vocab: &Vocabulary,
@@ -50,7 +51,8 @@ pub fn realise(
     config: &DeciderConfig,
 ) -> Option<NonTerminationWitness> {
     // 1. Check symbolically that the lasso runs from this initial
-    //    state (the explorer guarantees it for *some* initial state).
+    //    state (the explorer guarantees it for the state it reports;
+    //    any other state gets `None`).
     let mut state = init.clone();
     for sym in lasso.prefix.iter().chain(lasso.cycle.iter()) {
         state = automaton.next(&state, sym)?;

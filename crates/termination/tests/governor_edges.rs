@@ -10,6 +10,7 @@ use std::time::Duration;
 use chase_core::cancel::CancelToken;
 use chase_core::parser::parse_program;
 use chase_core::vocab::Vocabulary;
+use chase_termination::sticky::decide_sticky;
 use chase_termination::{decide, DeciderConfig, TerminationVerdict};
 
 /// Sticky and non-terminating: `R(a,b)` chases forever.
@@ -77,6 +78,27 @@ fn cancellation_wins_over_an_expired_deadline() {
         reason.starts_with("cancelled"),
         "cancellation takes precedence, got: {reason}"
     );
+}
+
+/// A state cap below what the sticky emptiness search needs yields an
+/// `Unknown` that names the phase that ran out. `INFINITE`'s automaton
+/// has 3 initial states and its lasso needs 4 more, so a cap of 6
+/// stops the search and a cap of 7 lets it find the lasso.
+#[test]
+fn sticky_state_cap_names_the_emptiness_phase() {
+    let mut vocab = Vocabulary::new();
+    let set = tgd_set(INFINITE, &mut vocab);
+    let capped = |max_automaton_states| DeciderConfig {
+        max_automaton_states,
+        ..DeciderConfig::default()
+    };
+    let reason = unknown_reason(decide_sticky(&set, &vocab, &capped(6)));
+    assert!(
+        reason.starts_with("sticky.emptiness: automaton state cap 6 reached"),
+        "reason should name the sticky emptiness phase and its cap, got: {reason}"
+    );
+    let verdict = decide_sticky(&set, &vocab, &capped(7));
+    assert!(verdict.is_non_terminating(), "{verdict:?}");
 }
 
 /// Zero budgets must never panic and must never manufacture a verdict

@@ -70,6 +70,14 @@ cargo test --offline -q -p chase-server --test program_cache
 echo "== fingerprint canonicalization property suite (compile cache addressing) =="
 cargo test --offline -q -p chase-core --test compile_fingerprint
 
+echo "== decider suites (ground-truth labels, cross-decider agreement, Büchi explorer) =="
+# Every labelled suite entry must get its hand-derived verdict with a
+# replay-valid witness, the deciders must agree on the random sweeps,
+# and the on-the-fly Büchi emptiness search must agree with the
+# full-graph BFS + Tarjan reference on random automata.
+cargo test --offline -q --test decider_suite --test decider_consistency
+cargo test --offline -q -p chase-automata
+
 echo "== serving benchmark's own tests (request stream per seed, BENCHMARK.json in step) =="
 # servebench/ is a package of its own (empty [workspace]), so the
 # workspace test run above does not reach it.
