@@ -14,7 +14,10 @@
 //! optimised engine is slower than its seed baseline by more than
 //! `HOTPATH_GATE_TOLERANCE` (a slowdown factor, default 1.5, i.e. the
 //! optimised run may take at most 1.5× the seed's time), the process
-//! exits non-zero. The generous tolerance absorbs timer noise on tiny
+//! exits non-zero. Every smoke gate (perf, scaling, server warm) is
+//! evaluated and reports its own failure before the exit, so one red
+//! gate never hides another; bit-identity violations still panic
+//! immediately. The generous tolerance absorbs timer noise on tiny
 //! smoke workloads while still catching order-of-magnitude
 //! regressions of the hot path.
 //!
@@ -693,6 +696,10 @@ fn main() {
     }
 
     if smoke {
+        // Every gate is evaluated and reports its own failure, so one
+        // red gate never hides the others; the exit status is decided
+        // once all of them have run.
+        let mut failed_gates: Vec<&str> = Vec::new();
         let tolerance: f64 = std::env::var("HOTPATH_GATE_TOLERANCE")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -710,9 +717,10 @@ fn main() {
             }
         }
         if failed {
-            std::process::exit(1);
+            failed_gates.push("perf");
+        } else {
+            println!("perf gate passed (optimised <= {tolerance:.2}x seed on every workload)");
         }
-        println!("perf gate passed (optimised <= {tolerance:.2}x seed on every workload)");
 
         // Scaling gate: parallelism must never cost more than ~5%
         // over the sequential engine. On hosts with two or more cores
@@ -744,13 +752,14 @@ fn main() {
             }
         }
         if failed {
-            std::process::exit(1);
+            failed_gates.push("scaling");
+        } else {
+            println!(
+                "scaling gate passed ({gate_threads}-thread parallel >= \
+                 {scaling_tolerance:.2}x sequential on every curve; host has \
+                 {host_cpus} cpu(s))"
+            );
         }
-        println!(
-            "scaling gate passed ({gate_threads}-thread parallel >= \
-             {scaling_tolerance:.2}x sequential on every curve; host has \
-             {host_cpus} cpu(s))"
-        );
 
         // Program-cache gate: a warm content-addressed hit must be at
         // least `SERVER_WARM_GATE` (default 5×) faster than the cold
@@ -767,12 +776,13 @@ fn main() {
                 "SERVER WARM GATE: warm program-cache resolve is only {warm_speedup:.2}x \
                  the cold compile (tolerance {warm_gate:.2}x)"
             );
-            std::process::exit(1);
+            failed_gates.push("server warm");
+        } else {
+            println!(
+                "server warm gate passed (warm resolve {warm_speedup:.2}x >= \
+                 {warm_gate:.2}x cold compile)"
+            );
         }
-        println!(
-            "server warm gate passed (warm resolve {warm_speedup:.2}x >= \
-             {warm_gate:.2}x cold compile)"
-        );
 
         // 2-thread bit-identity smoke: on multi-core hosts, re-run the
         // fan workload with two workers under a recording observer and
@@ -809,6 +819,11 @@ fn main() {
                 "2-thread bit-identity smoke skipped: host has {host_cpus} cpu(s) < 2 \
                  (forced-worker equivalence proptests cover multi-thread identity)"
             );
+        }
+
+        if !failed_gates.is_empty() {
+            eprintln!("smoke gates failed: {}", failed_gates.join(", "));
+            std::process::exit(1);
         }
     }
 }

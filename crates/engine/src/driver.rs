@@ -22,14 +22,12 @@
 //!    output by `(slot position, TGD id)` reproduces the exact
 //!    sequential discovery order regardless of scheduling, stealing
 //!    order or worker count.
-//! 3. Workers may *pre-screen* activeness. The result is attached as
-//!    [`Discovered::inactive_hint`], never used to drop a trigger:
-//!    queue length and contents stay identical to the sequential run,
-//!    which keeps even the `Random` strategy reproducible. The hint is
-//!    sound to consume at pop time because inactivity is monotone —
-//!    instances only grow, so a trigger inactive at discovery time is
-//!    still inactive later. Unhinted triggers are re-checked
-//!    sequentially at apply time as usual.
+//! 3. Workers only *discover*: activeness is never judged during a
+//!    batch, so no trigger is dropped or annotated and queue length
+//!    and contents stay identical to the sequential run, which keeps
+//!    even the `Random` strategy reproducible. Every restriction check
+//!    runs at pop time on the driving thread, against exactly the
+//!    instance the preceding steps left.
 //!
 //! These invariants make the *default* telemetry stream of a parallel
 //! run identical to the sequential one. The opt-in profiling stream is
@@ -50,8 +48,7 @@ use chase_core::tgd::{Tgd, TgdId, TgdSet};
 
 use crate::pool::DiscoveryPool;
 use crate::trigger::{
-    for_each_trigger_of_tgd_using_with, for_each_trigger_of_tgd_with, head_satisfied_with, Trigger,
-    TriggerFp,
+    for_each_trigger_of_tgd_using_with, for_each_trigger_of_tgd_with, Trigger, TriggerFp,
 };
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,19 +100,6 @@ pub struct Discovered {
     pub trigger: Trigger,
     /// Its interned fingerprint under the batch's [`FpVars`] layout.
     pub fp: TriggerFp,
-    /// `true` if a worker already proved the trigger inactive on the
-    /// instance it was discovered against. Sound to reuse later
-    /// (inactivity is monotone); `false` means "unknown, re-check".
-    pub inactive_hint: bool,
-    /// Satisfaction watermark: when the prescreen *refuted* head
-    /// satisfaction (`inactive_hint == false` with activeness checking
-    /// on), this records the instance length the refutation covered.
-    /// A later recheck only needs to scan atoms inserted at slot ≥
-    /// this watermark — instance growth is monotone, so the refuted
-    /// prefix stays refuted. `0` means "nothing refuted yet" (full
-    /// check required), which is also what batches without activeness
-    /// checking report.
-    pub watermark: usize,
 }
 
 /// Minimum number of batch rows (delta slots, or seed atoms) before
@@ -173,26 +157,15 @@ struct Keyed {
 #[allow(clippy::too_many_arguments)]
 fn collect_cell(
     scratch: &mut HomScratch,
-    probe: &mut HomScratch,
     id: TgdId,
     tgd: &Tgd,
     instance: &Instance,
     slot_ord: u32,
     slot: Option<usize>,
     vars: FpVars,
-    check_active: bool,
     out: &mut Vec<Keyed>,
 ) {
-    // A refuting prescreen covers the whole instance as it stands now.
-    let covered = instance.len();
     let mut visit = |id: TgdId, b: &chase_core::subst::Binding| {
-        let fp = TriggerFp::of(id, b, vars.of(tgd));
-        // Pre-screen: seed the head matcher with the full body
-        // binding (sound — see `Trigger::is_active`). Shares
-        // `head_satisfied_with` with the sequential pop-time check so
-        // hints and rechecks always agree bit-for-bit.
-        let inactive_hint = check_active && head_satisfied_with(probe, tgd, instance, b, 0);
-        let watermark = if check_active { covered } else { 0 };
         out.push(Keyed {
             slot_ord,
             tgd: id.0,
@@ -201,9 +174,7 @@ fn collect_cell(
                     tgd: id,
                     binding: b.clone(),
                 },
-                fp,
-                inactive_hint,
-                watermark,
+                fp: TriggerFp::of(id, b, vars.of(tgd)),
             },
         });
         ControlFlow::Continue(())
@@ -241,11 +212,9 @@ impl<'a> CellGrid<'a> {
     fn collect_range(
         &self,
         scratch: &mut HomScratch,
-        probe: &mut HomScratch,
         set: &TgdSet,
         instance: &Instance,
         vars: FpVars,
-        check_active: bool,
         cancel: Option<&CancelToken>,
         range: std::ops::Range<usize>,
         out: &mut Vec<Keyed>,
@@ -258,14 +227,12 @@ impl<'a> CellGrid<'a> {
             let id = TgdId((cell % self.ntgds) as u32);
             collect_cell(
                 scratch,
-                probe,
                 id,
                 set.tgd(id),
                 instance,
                 slot_ord as u32,
                 self.slots.map(|s| s[slot_ord]),
                 vars,
-                check_active,
                 out,
             );
         }
@@ -321,7 +288,6 @@ pub fn collect_parallel(
     instance: &Instance,
     slots: Option<&[usize]>,
     vars: FpVars,
-    check_active: bool,
 ) -> Vec<Discovered> {
     let mut pool = DiscoveryPool::new(None);
     collect_batch(
@@ -329,7 +295,6 @@ pub fn collect_parallel(
         instance,
         slots,
         vars,
-        check_active,
         BatchControl::default(),
         &mut pool,
     )
@@ -367,7 +332,6 @@ pub fn collect_batch(
     instance: &Instance,
     slots: Option<&[usize]>,
     vars: FpVars,
-    check_active: bool,
     ctrl: BatchControl<'_>,
     pool: &mut DiscoveryPool,
 ) -> Batch {
@@ -383,11 +347,9 @@ pub fn collect_batch(
         let mut out = Vec::new();
         let _ = grid.collect_range(
             &mut scratch.matcher,
-            &mut scratch.probe,
             set,
             instance,
             vars,
-            check_active,
             ctrl.cancel,
             0..grid.ncells,
             &mut out,
@@ -419,11 +381,9 @@ pub fn collect_batch(
                 if grid
                     .collect_range(
                         &mut scratch.matcher,
-                        &mut scratch.probe,
                         set,
                         instance,
                         vars,
-                        check_active,
                         ctrl.cancel,
                         begin..end,
                         &mut out,
@@ -488,7 +448,7 @@ mod tests {
         )
         .unwrap();
         let set = p.tgd_set(&vocab).unwrap();
-        let par = collect_parallel(&set, &p.database, None, FpVars::SortedBody, true);
+        let par = collect_parallel(&set, &p.database, None, FpVars::SortedBody);
         let mut seq = Vec::new();
         let mut scratch = HomScratch::new();
         let _ = for_each_trigger_with(&mut scratch, &set, &p.database, &mut |id, b| {
@@ -502,14 +462,6 @@ mod tests {
         for (d, t) in par.iter().zip(seq.iter()) {
             assert_eq!(&d.trigger, t);
             assert_eq!(d.fp, t.fingerprint(set.tgd(t.tgd)));
-            // Hint agrees with the definition of activeness.
-            assert_eq!(
-                d.inactive_hint,
-                !t.is_active(set.tgd(t.tgd), &p.database),
-                "hint diverged for {t:?}"
-            );
-            // An activeness-checked batch covers the whole instance.
-            assert_eq!(d.watermark, p.database.len());
         }
     }
 
@@ -525,7 +477,7 @@ mod tests {
         )
         .unwrap();
         let set = p.tgd_set(&vocab).unwrap();
-        let free = collect_parallel(&set, &p.database, None, FpVars::SortedBody, true);
+        let free = collect_parallel(&set, &p.database, None, FpVars::SortedBody);
         let mut pool = DiscoveryPool::new(None);
         for cap in [1usize, 2, 8] {
             let batch = collect_batch(
@@ -533,7 +485,6 @@ mod tests {
                 &p.database,
                 None,
                 FpVars::SortedBody,
-                true,
                 BatchControl {
                     worker_cap: Some(cap),
                     ..BatchControl::default()
@@ -568,7 +519,7 @@ mod tests {
         )
         .unwrap();
         let set = p.tgd_set(&vocab).unwrap();
-        let reference = collect_parallel(&set, &p.database, None, FpVars::SortedBody, true);
+        let reference = collect_parallel(&set, &p.database, None, FpVars::SortedBody);
         let mut pool = DiscoveryPool::new(Some(3));
         for round in 0..10 {
             let batch = collect_batch(
@@ -576,14 +527,13 @@ mod tests {
                 &p.database,
                 None,
                 FpVars::SortedBody,
-                true,
                 BatchControl::default(),
                 &mut pool,
             );
             assert_eq!(batch.discovered.len(), reference.len(), "round {round}");
             for (a, b) in batch.discovered.iter().zip(reference.iter()) {
                 assert_eq!(a.trigger, b.trigger, "round {round}");
-                assert_eq!(a.inactive_hint, b.inactive_hint, "round {round}");
+                assert_eq!(a.fp, b.fp, "round {round}");
             }
         }
     }
@@ -612,7 +562,7 @@ mod tests {
             ],
         ));
         let slots = [s1];
-        let par = collect_parallel(&set, &inst, Some(&slots), FpVars::SortedBody, false);
+        let par = collect_parallel(&set, &inst, Some(&slots), FpVars::SortedBody);
         let mut seq = Vec::new();
         let mut scratch = HomScratch::new();
         for &slot in &slots {
@@ -627,8 +577,7 @@ mod tests {
         assert_eq!(par.len(), seq.len());
         for (d, t) in par.iter().zip(seq.iter()) {
             assert_eq!(&d.trigger, t);
-            assert!(!d.inactive_hint, "check_active=false never hints");
-            assert_eq!(d.watermark, 0, "no activeness check, no refuted prefix");
+            assert_eq!(d.fp, t.fingerprint(set.tgd(t.tgd)));
         }
     }
 

@@ -262,7 +262,6 @@ impl<'a> ObliviousChase<'a> {
                 &instance,
                 None,
                 vars,
-                false,
                 BatchControl {
                     cancel: Some(gov.cancel_token()),
                     inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
@@ -425,7 +424,6 @@ impl<'a> ObliviousChase<'a> {
                     &instance,
                     Some(&new_slots),
                     vars,
-                    false,
                     BatchControl {
                         cancel: Some(gov.cancel_token()),
                         inject_panic_worker: gov.faults().panic_worker_in(batch_idx),

@@ -54,8 +54,6 @@ use chase_core::hom::HomScratch;
 pub struct WorkerScratch {
     /// Drives trigger enumeration (homomorphism search).
     pub matcher: HomScratch,
-    /// Probes head satisfaction for activeness prescreens.
-    pub probe: HomScratch,
 }
 
 impl WorkerScratch {

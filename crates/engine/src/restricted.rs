@@ -32,31 +32,42 @@
 //! depends on that order, so every step sees exactly the instance
 //! its predecessors left.
 //!
-//! ## Incremental restriction checks
+//! ## Memoised restriction checks
 //!
-//! The activeness test (Definition 3.1) is incremental: the engine
-//! registers the TGD set's composite-index plan on its working
-//! instance up front (turning most head-satisfaction searches into
-//! single index probes), and each queued trigger carries a
-//! *satisfaction watermark* — the instance length covered by the last
-//! failed head-satisfaction search for that trigger. A pop-time
-//! recheck scans only atoms inserted at or after the watermark: the
-//! instance grows monotonically, so a refuted prefix stays refuted.
-//! Triggers proved inactive are never re-probed (inactivity is
-//! monotone, cached permanently via `inactive_hint`).
+//! The engine registers the TGD set's composite-index plan on its
+//! working instance up front, turning most head-satisfaction searches
+//! into single index probes. Beyond that, a trigger `(σ,h)` is active
+//! iff no extension of `h|fr(σ)` maps `head(σ)` into the instance
+//! (Definition 3.1): activeness depends only on `σ` and the frontier
+//! image, and a satisfied head stays satisfied because the chase only
+//! adds atoms. So each run keeps a *frontier memo* — the set of
+//! `(σ, h|fr(σ))` fingerprints whose head a check found satisfied —
+//! and a popped trigger whose key is in the memo is inactive without
+//! a search. The memo only answers "satisfied" where the search
+//! would, so pop order, applied triggers, derivation and telemetry
+//! are unchanged. Only TGDs with existential variables and a frontier
+//! smaller than their body-variable set use it: a full TGD's check is
+//! already one membership probe per head atom, and when the frontier
+//! is every body variable no two triggers share a key. Applied
+//! triggers are not recorded, although their head is satisfied once
+//! they fire: on a non-terminating chain every trigger is applied, so
+//! those inserts would be pure cost, and a later trigger with the
+//! same frontier image pays one search and records the key then. The
+//! hits are reported once per run as the `triggers.memo_hits`
+//! counter.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use chase_core::hom::HomScratch;
-use chase_core::ids::{fx_set, VarId};
+use chase_core::ids::{fx_set, FxHashSet, VarId};
 use chase_core::instance::Instance;
 use chase_core::subst::Binding;
 use chase_core::term::Term;
-use chase_core::tgd::{TgdId, TgdSet};
+use chase_core::tgd::{Tgd, TgdId, TgdSet};
 use chase_telemetry::{
-    emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
-    NullObserver, NO_TGD,
+    emit, emit_detail, names, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind,
+    Event, NullObserver, NO_TGD,
 };
 
 use crate::derivation::{Derivation, Step};
@@ -135,9 +146,8 @@ impl XorShift64 {
 }
 
 /// A queued candidate trigger: a `Copy` span into the engine's flat
-/// binding arena plus the incremental-activeness state. No [`Trigger`]
-/// (and no per-trigger `Binding` allocation) exists until the trigger
-/// is actually applied.
+/// binding arena. No [`Trigger`] (and no per-trigger `Binding`
+/// allocation) exists until the trigger is actually applied.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     /// Which TGD.
@@ -146,34 +156,18 @@ struct Queued {
     start: u32,
     /// Length of the span (one entry per body variable).
     len: u32,
-    /// Satisfaction watermark: instance length covered by the last
-    /// *failed* head-satisfaction search for this trigger. A recheck
-    /// scans only atoms at slot ≥ this. `0` = no prior refutation
-    /// (full check).
-    watermark: u32,
-    /// `true` if a discovery prescreen already proved the trigger
-    /// inactive — permanent, since inactivity is monotone.
-    inactive_hint: bool,
 }
 
 impl Queued {
     /// Copies `binding`'s entries into `arena` and returns the span
     /// handle.
-    fn store(
-        arena: &mut Vec<(VarId, Term)>,
-        tgd: TgdId,
-        binding: &Binding,
-        watermark: usize,
-        inactive_hint: bool,
-    ) -> Queued {
+    fn store(arena: &mut Vec<(VarId, Term)>, tgd: TgdId, binding: &Binding) -> Queued {
         let start = arena.len();
         arena.extend(binding.iter());
         Queued {
             tgd,
             start: start as u32,
             len: (arena.len() - start) as u32,
-            watermark: watermark as u32,
-            inactive_hint,
         }
     }
 
@@ -181,6 +175,69 @@ impl Queued {
     #[inline]
     fn pairs<'a>(&self, arena: &'a [(VarId, Term)]) -> &'a [(VarId, Term)] {
         &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
+/// The run's frontier memo (see the module docs): fingerprints of
+/// `(σ, h|fr(σ))` whose head a restriction check found satisfied.
+struct FrontierMemo {
+    /// Per TGD: whether its checks go through the memo.
+    eligible: Vec<bool>,
+    /// Frontier-image keys with a satisfied head.
+    satisfied: FxHashSet<TriggerFp>,
+    /// Pops answered from the memo without a search.
+    hits: u64,
+}
+
+impl FrontierMemo {
+    fn new(set: &TgdSet) -> Self {
+        FrontierMemo {
+            eligible: set
+                .tgds()
+                .iter()
+                .map(|t| {
+                    !t.existentials().is_empty() && t.frontier().len() < t.sorted_body_vars().len()
+                })
+                .collect(),
+            satisfied: fx_set(),
+            hits: 0,
+        }
+    }
+
+    /// Whether the trigger `(id, binding)` is active on `instance`:
+    /// exactly `!head_satisfied_with(..)`, skipping the search when
+    /// the frontier image is already known to be satisfied.
+    fn is_active(
+        &mut self,
+        scratch: &mut HomScratch,
+        id: TgdId,
+        tgd: &Tgd,
+        instance: &Instance,
+        binding: &Binding,
+    ) -> bool {
+        if !self.eligible[id.index()] {
+            return !head_satisfied_with(scratch, tgd, instance, binding);
+        }
+        let key = TriggerFp::of(id, binding, tgd.frontier());
+        if self.satisfied.contains(&key) {
+            self.hits += 1;
+            return false;
+        }
+        if head_satisfied_with(scratch, tgd, instance, binding) {
+            self.satisfied.insert(key);
+            return false;
+        }
+        true
+    }
+
+    /// Reports the run's hits as one counter event (none when zero).
+    fn emit_hits<O: ChaseObserver + ?Sized>(&self, obs: &mut O) {
+        if self.hits > 0 {
+            emit(obs, || Event::CounterAdd {
+                name: names::RESTRICTION_MEMO_HITS,
+                delta: self.hits,
+            });
+        }
     }
 }
 
@@ -510,6 +567,7 @@ impl<'a> RestrictedChase<'a> {
         };
         let mut enum_scratch = HomScratch::new();
         let mut active_scratch = HomScratch::new();
+        let mut memo = FrontierMemo::new(self.set);
 
         // Parallel discovery batches are numbered in execution order so
         // the fault plan can target one deterministically.
@@ -536,7 +594,6 @@ impl<'a> RestrictedChase<'a> {
                 &instance,
                 None,
                 FpVars::SortedBody,
-                true,
                 BatchControl {
                     cancel: Some(gov.cancel_token()),
                     inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
@@ -560,13 +617,7 @@ impl<'a> RestrictedChase<'a> {
                         tgd: d.trigger.tgd.0,
                         step: 0,
                     });
-                    queue.push(Queued::store(
-                        &mut arena,
-                        d.trigger.tgd,
-                        &d.trigger.binding,
-                        d.watermark,
-                        d.inactive_hint,
-                    ));
+                    queue.push(Queued::store(&mut arena, d.trigger.tgd, &d.trigger.binding));
                 }
             }
         } else {
@@ -578,7 +629,7 @@ impl<'a> RestrictedChase<'a> {
                         tgd: id.0,
                         step: 0,
                     });
-                    queue.push(Queued::store(&mut arena, id, b, 0, false));
+                    queue.push(Queued::store(&mut arena, id, b));
                 }
                 ControlFlow::Continue(())
             });
@@ -614,6 +665,7 @@ impl<'a> RestrictedChase<'a> {
                         queue.len() as u64,
                     );
                 }
+                memo.emit_hits(obs);
                 return ChaseRun {
                     outcome,
                     instance,
@@ -632,13 +684,9 @@ impl<'a> RestrictedChase<'a> {
             for &(v, t) in popped.pairs(&arena) {
                 check_binding.push(v, t);
             }
-            // A worker's inactive prescreen is sound to reuse
-            // (inactivity is monotone under instance growth); an
-            // unhinted trigger is rechecked incrementally — atoms
-            // below the watermark were already refuted by the search
-            // that set it. Adjacent span boundaries share one clock
-            // reading (`exit_now`/`_at`) to keep profiling overhead
-            // within the gate's budget.
+            // Adjacent span boundaries share one clock reading
+            // (`exit_now`/`_at`) to keep profiling overhead within the
+            // gate's budget.
             let check_guard = span_enter_sampled(
                 obs,
                 spans::RESTRICTION_CHECK,
@@ -646,14 +694,13 @@ impl<'a> RestrictedChase<'a> {
                 sampled,
                 step_guard.start(),
             );
-            let active = !popped.inactive_hint
-                && !head_satisfied_with(
-                    &mut active_scratch,
-                    tgd,
-                    &instance,
-                    &check_binding,
-                    popped.watermark as usize,
-                );
+            let active = memo.is_active(
+                &mut active_scratch,
+                popped.tgd,
+                tgd,
+                &instance,
+                &check_binding,
+            );
             let check_end = check_guard.exit_now(obs);
             emit_detail(obs, || Event::TriggerChecked {
                 engine: ENGINE,
@@ -672,13 +719,7 @@ impl<'a> RestrictedChase<'a> {
             }
             if gov.budget_exhausted(steps, instance.len()) {
                 // Put it back so the caller can inspect pending work.
-                // The activeness check just refuted satisfaction on the
-                // whole instance, so the re-queued trigger's watermark
-                // advances to the full length.
-                queue.unpop(Queued {
-                    watermark: instance.len() as u32,
-                    ..popped
-                });
+                queue.unpop(popped);
                 step_guard.exit(obs);
                 if let Some(start) = run_start {
                     emit_profile_sample(
@@ -690,6 +731,7 @@ impl<'a> RestrictedChase<'a> {
                         queue.len() as u64,
                     );
                 }
+                memo.emit_hits(obs);
                 return ChaseRun {
                     outcome: Outcome::BudgetExhausted,
                     instance,
@@ -762,7 +804,6 @@ impl<'a> RestrictedChase<'a> {
                     &instance,
                     Some(&new_slots),
                     FpVars::SortedBody,
-                    true,
                     BatchControl {
                         cancel: Some(gov.cancel_token()),
                         inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
@@ -786,13 +827,7 @@ impl<'a> RestrictedChase<'a> {
                             tgd: d.trigger.tgd.0,
                             step: steps as u64,
                         });
-                        queue.push(Queued::store(
-                            &mut arena,
-                            d.trigger.tgd,
-                            &d.trigger.binding,
-                            d.watermark,
-                            d.inactive_hint,
-                        ));
+                        queue.push(Queued::store(&mut arena, d.trigger.tgd, &d.trigger.binding));
                     }
                 }
             } else {
@@ -810,7 +845,7 @@ impl<'a> RestrictedChase<'a> {
                                     tgd: id.0,
                                     step: steps as u64,
                                 });
-                                queue.push(Queued::store(&mut arena, id, b, 0, false));
+                                queue.push(Queued::store(&mut arena, id, b));
                             }
                             ControlFlow::Continue(())
                         },
@@ -848,6 +883,7 @@ impl<'a> RestrictedChase<'a> {
         if let Some(start) = run_start {
             emit_profile_sample(obs, ENGINE, start, &instance, steps as u64, 0);
         }
+        memo.emit_hits(obs);
         ChaseRun {
             outcome: Outcome::Terminated,
             instance,
@@ -1124,6 +1160,56 @@ mod tests {
         let mem = profile.memory.expect("memory sampled");
         assert_eq!(mem.atoms, profiled.instance.len() as u64);
         assert!(mem.total_bytes() > 0);
+    }
+
+    /// Runs `src` under FIFO with a recording observer and returns the
+    /// run plus the `triggers.memo_hits` counter events it emitted.
+    fn memo_hit_events(src: &str, budget: Budget) -> (ChaseRun, Vec<u64>) {
+        use chase_telemetry::{names, RecordingObserver};
+        let mut vocab = Vocabulary::new();
+        let p = parse_program(src, &mut vocab).unwrap();
+        let set = p.tgd_set(&vocab).unwrap();
+        let mut obs = RecordingObserver::default();
+        let run = RestrictedChase::new(&set).run_observed(&p.database, budget, &mut obs);
+        let hits = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::CounterAdd { name, delta } if *name == names::RESTRICTION_MEMO_HITS => {
+                    Some(*delta)
+                }
+                _ => None,
+            })
+            .collect();
+        (run, hits)
+    }
+
+    #[test]
+    fn frontier_memo_answers_repeated_frontier_images() {
+        // Three edges into `b` share the frontier image y=b of a
+        // two-atom head. The first is applied, the second's check
+        // finds the head satisfied and records the key, and the third
+        // is answered from the memo. The chain then grows until the
+        // budget cuts it, and the hits arrive as one counter event.
+        let src = "
+            E(a,b). E(c,b). E(d,b).
+            E(x,y) -> exists z. E(y,z), P(z).
+        ";
+        let (run, hits) = memo_hit_events(src, Budget::steps(5));
+        assert_eq!(run.outcome, Outcome::BudgetExhausted);
+        assert_eq!(run.steps, 5);
+        assert_eq!(hits, vec![1]);
+    }
+
+    #[test]
+    fn frontier_memo_is_silent_on_full_tgds() {
+        // Full TGDs never consult the memo, so the run emits no
+        // `triggers.memo_hits` event at all.
+        let src = include_str!("../../../examples/rules/closure.chase");
+        let (run, hits) = memo_hit_events(src, Budget::steps(1_000_000));
+        assert_eq!(run.outcome, Outcome::Terminated);
+        assert!(run.steps > 0);
+        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

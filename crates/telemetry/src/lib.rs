@@ -110,6 +110,10 @@ pub mod names {
     /// Popped triggers found deactivated (the restricted chase's
     /// defining saving over the oblivious chase).
     pub const TRIGGERS_DEACTIVATED: &str = "triggers.deactivated";
+    /// Deactivated pops the restricted engine answered from its
+    /// frontier memo, without a head-satisfaction search (a subset of
+    /// `triggers.deactivated`; emitted once per run, when non-zero).
+    pub const RESTRICTION_MEMO_HITS: &str = "triggers.memo_hits";
     /// Labelled nulls invented by trigger applications.
     pub const NULLS_INVENTED: &str = "nulls.invented";
     /// Atom insertions attempted (including duplicates).

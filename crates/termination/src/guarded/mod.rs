@@ -16,8 +16,9 @@
 //! * **Non-termination detector** (sound): restricted chase runs from
 //!   a family of *acyclic seed databases* (Theorem 5.5 justifies
 //!   acyclic seeds) — canonical bodies, longs-for-glued canonical
-//!   bodies, and the critical database — with growth analysis and
-//!   guard-path signature repetition; every positive answer ships a
+//!   bodies, and the critical database — each chased once to a step
+//!   budget; a run that outlasts it is searched for a repeating
+//!   guard-path signature, and every positive answer ships a
 //!   replay-validated derivation.
 //! * Otherwise: an honest `Unknown`.
 
@@ -338,18 +339,16 @@ pub fn decide_guarded_observed<O: ChaseObserver + ?Sized>(
                 name: names::GUARDED_SEEDS,
                 delta: 1,
             });
-            let b = config.chase_budget / 4;
-            let short = engine.run_observed(seed, Budget::steps(b), obs);
-            if short.outcome == Outcome::Terminated {
+            // One FIFO chase per seed. A run cut by its step budget
+            // has applied exactly that many triggers, so the cut is
+            // the growth evidence; what decides is a repeating
+            // guard-path signature in its derivation.
+            let steps = 2 * (config.chase_budget / 4);
+            let run = engine.run_observed(seed, Budget::steps(steps), obs);
+            if run.outcome == Outcome::Terminated {
                 continue;
             }
-            let long = engine.run_observed(seed, Budget::steps(2 * b), obs);
-            if long.outcome == Outcome::Terminated {
-                continue;
-            }
-            // Linear growth plus a repeating guard-path signature.
-            let growing = long.steps >= short.steps + b / 2;
-            if growing && has_repeating_guard_path(set, &long) {
+            if has_repeating_guard_path(set, &run) {
                 // Re-run with the witness horizon and validate.
                 let evidence = engine.run_observed(seed, Budget::steps(config.witness_steps), obs);
                 if evidence.derivation.validate(seed, set, false).is_ok() {

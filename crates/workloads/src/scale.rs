@@ -18,8 +18,8 @@
 //!   then a genuine conjunctive query (find `z'` with both `Pj(x,z')`
 //!   and `Pk(x,z')`), not a single-atom index probe: each check scans
 //!   the `Pj(x,·)` cell, whose size grows with `facts / constants`.
-//!   This is the restriction-check-heavy regime the seed prescreen is
-//!   built for;
+//!   This is the restriction-check-heavy regime the restricted
+//!   engine's frontier memo targets;
 //! * full: `Pi(x,y) → Pj(x,y)` — pair propagation along the graph
 //!   (join-free insert throughput).
 //!

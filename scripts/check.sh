@@ -27,7 +27,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo test -q (root package: tier-1) =="
 cargo test --offline -q
 
-echo "== incremental-equivalence property suite (watermarks vs seed) =="
+echo "== incremental-equivalence property suite (frontier memo vs seed) =="
 cargo test --offline -q --test incremental_equivalence
 
 echo "== forced-worker equivalence suite (parallel discovery vs seed oracle, threads x shards) =="
@@ -95,14 +95,23 @@ echo "== hot-path smoke report (bit-identity + timing sanity + thread-scaling ga
 # a few percent on busy single-CPU hosts, and a real regression fails
 # every attempt while a noisy neighbour does not. Bit-identity
 # violations fail hard on the first attempt (they assert, exit 101).
+# A timing gate that stays red on every attempt does not stop the
+# script: the remaining stages still run, and the script exits
+# non-zero at the end, naming this stage.
+failed_stages=()
 for attempt in $(seq 1 "${BENCH_GATE_ATTEMPTS:-3}"); do
     if scripts/bench.sh smoke; then
         break
     else
         status=$?
-        if [ "$status" -ne 1 ] || [ "$attempt" -eq "${BENCH_GATE_ATTEMPTS:-3}" ]; then
+        if [ "$status" -ne 1 ]; then
             echo "hot-path smoke gate: failed (status $status) on attempt $attempt" >&2
             exit 1
+        fi
+        if [ "$attempt" -eq "${BENCH_GATE_ATTEMPTS:-3}" ]; then
+            echo "hot-path smoke gate: over tolerance on all $attempt attempts; continuing with the remaining stages" >&2
+            failed_stages+=("hot-path smoke report")
+            break
         fi
         echo "hot-path smoke gate: attempt $attempt over tolerance (likely machine noise), retrying" >&2
     fi
@@ -149,4 +158,8 @@ for attempt in $(seq 1 "${PROFILE_GATE_ATTEMPTS:-3}"); do
 done
 target/release/chasectl stats target/profile_smoke.json
 
+if [ "${#failed_stages[@]}" -gt 0 ]; then
+    echo "FAILED stage(s): ${failed_stages[*]}" >&2
+    exit 1
+fi
 echo "All checks passed."

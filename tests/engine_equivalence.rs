@@ -100,8 +100,8 @@ proptest! {
         }
     }
 
-    /// Regression for the parallel driver's prescreen hints: a
-    /// terminated parallel restricted run is a model of the TGD set.
+    /// A terminated parallel restricted run is a model of the TGD set:
+    /// no trigger the frontier memo answered was in fact still active.
     #[test]
     fn terminated_parallel_run_satisfies_all(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);

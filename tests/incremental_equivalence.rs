@@ -1,16 +1,19 @@
-//! Equivalence property suite for the incremental restriction-check
-//! machinery (PR 5): satisfaction watermarks, composite two-position
-//! indexes, and the dedup-map instance layout must leave the engines
-//! **bit-identical** to the frozen seed baseline — same outcome, same
-//! step count, same final instance, same recorded derivation — on
-//! random programs, and the sequential and parallel optimised engines
-//! must emit identical telemetry event streams.
+//! Equivalence property suite for the restriction-check machinery:
+//! the frontier memo, composite two-position indexes, and the
+//! dedup-map instance layout must leave the engines **bit-identical**
+//! to the frozen seed baseline — same outcome, same step count, same
+//! final instance, same recorded derivation — on random programs, and
+//! the sequential and parallel optimised engines must emit identical
+//! telemetry event streams.
 //!
-//! The seed engine has no observer hook, so telemetry equality is
-//! checked between the two optimised drivers (whose prescreen is where
-//! watermarks change the search anchor); derivation equality against
-//! the seed is checked structurally and by replaying the recorded
-//! derivation through [`Derivation::validate`].
+//! The random generator emits single-head rules only, so a second
+//! property runs small `chase_workloads::scale` programs, whose
+//! existential rules have two-atom heads sharing the invented null —
+//! the frontier memo's main case. The seed engine has no observer
+//! hook, so telemetry equality is checked between the two optimised
+//! drivers; derivation equality against the seed is checked
+//! structurally and by replaying the recorded derivation through
+//! [`Derivation::validate`].
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
@@ -19,6 +22,7 @@ use restricted_chase::prelude::*;
 use restricted_chase::engine::derivation::Derivation;
 use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::telemetry::RecordingObserver;
+use restricted_chase::workloads::scale::{scale_workload, ScaleParams, Shape};
 
 /// Parses a generated (rules, database) pair.
 fn build(seed: u64, db_seed: u64) -> (Vocabulary, TgdSet, Instance) {
@@ -65,7 +69,7 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Watermarked restricted chase (sequential and force-parallel
+    /// The optimised restricted chase (sequential and force-parallel
     /// with two workers, so discovery fans out on any host) agrees
     /// exactly with the frozen seed engine on outcome, step count, and
     /// final instance; the seq and par drivers additionally record
@@ -113,12 +117,12 @@ proptest! {
         }
     }
 
-    /// Recorded derivations of the watermarked engine replay cleanly:
+    /// Recorded derivations of the optimised engine replay cleanly:
     /// every step is an active trigger at its point in the sequence,
     /// every added atom is `result(σ,h)`, and terminated runs leave no
-    /// active trigger. This is the soundness check for watermark-based
-    /// activeness short-cuts — a stale watermark would record a step
-    /// whose trigger was in fact already satisfied.
+    /// active trigger. This is the soundness check for memoised
+    /// activeness short-cuts — a wrong memo entry would skip a trigger
+    /// that was in fact still active.
     #[test]
     fn watermarked_derivation_replays(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -140,9 +144,8 @@ proptest! {
     }
 
     /// Sequential and parallel optimised drivers emit identical
-    /// telemetry event streams (the seed engine has no observer hook).
-    /// The parallel prescreen consumes watermarks, so any divergence
-    /// in what it re-checks shows up here as an event mismatch.
+    /// telemetry event streams (the seed engine has no observer hook),
+    /// including the per-run `triggers.memo_hits` counter.
     #[test]
     fn watermarked_event_streams_identical(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
@@ -220,5 +223,60 @@ proptest! {
         prop_assert_eq!(reference.outcome, gated.outcome);
         prop_assert_eq!(reference.steps, gated.steps);
         prop_assert_eq!(&reference.instance, &gated.instance);
+    }
+
+    /// Small seeded scale programs (chain and clique predicate graphs,
+    /// a few hundred facts, existential rules with two-atom heads)
+    /// under every strategy, sequential and with two forced workers:
+    /// outcome, steps and instance equal the frozen seed engine, and
+    /// every recorded derivation replays through `Derivation::validate`.
+    #[test]
+    fn multi_head_scale_equals_seed(
+        clique in 0u8..2,
+        predicates in 3usize..7,
+        facts in 100usize..400,
+        constants in 2usize..12,
+        density in 5u32..=10,
+        seed in 0u64..5_000,
+    ) {
+        let params = ScaleParams {
+            shape: if clique == 1 { Shape::Clique } else { Shape::Chain },
+            predicates,
+            facts,
+            constants,
+            existential_density: f64::from(density) / 10.0,
+            shards: 4,
+            seed,
+        };
+        let (_vocab, set, db) = scale_workload(&params);
+        let budget = Budget::new(2_000, 20_000);
+        for strategy in [
+            Strategy::Fifo,
+            Strategy::Lifo,
+            Strategy::PriorityTgd,
+            Strategy::Random(seed | 1),
+        ] {
+            let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
+            for workers in [1usize, 2] {
+                let engine = RestrictedChase::new(&set).strategy(strategy);
+                let engine = if workers > 1 {
+                    engine
+                        .parallelism(Parallelism::On)
+                        .parallel_threshold(0)
+                        .workers(workers)
+                } else {
+                    engine
+                };
+                let run = engine.run(&db, budget);
+                let label = format!("{} {strategy:?} workers={workers}", params.name());
+                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
+                let must_saturate = run.outcome == Outcome::Terminated;
+                let replayed = run.derivation.validate(&db, &set, must_saturate)
+                    .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
+                prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
+            }
+        }
     }
 }
