@@ -10,33 +10,28 @@
 //!   cargo run --release -p chase-bench --bin hotpath_report
 //!   cargo run --release -p chase-bench --bin hotpath_report -- --mode smoke --out target/smoke.json
 //!
+//! Timing is paired: each repetition runs the seed and the optimised
+//! engine back to back (alternating which goes first), so drift in the
+//! host's speed lands on both halves of a pair. Every row reports the
+//! min, median and max of its repetitions, wall-clock and process CPU
+//! time, plus the min, median and max of the per-pair speedups. CPU
+//! time next to wall time shows how much of a wall-clock figure the
+//! host stole.
+//!
 //! In smoke mode the report doubles as a perf-regression gate: if any
 //! optimised engine is slower than its seed baseline by more than
 //! `HOTPATH_GATE_TOLERANCE` (a slowdown factor, default 1.5, i.e. the
-//! optimised run may take at most 1.5× the seed's time), the process
-//! exits non-zero. Every smoke gate (perf, scaling, server warm) is
-//! evaluated and reports its own failure before the exit, so one red
-//! gate never hides another; bit-identity violations still panic
-//! immediately. The generous tolerance absorbs timer noise on tiny
-//! smoke workloads while still catching order-of-magnitude
-//! regressions of the hot path.
+//! optimised run may take at most 1.5× the seed's time, comparing the
+//! minimum wall-clock of each), the process exits non-zero. Every
+//! smoke gate (perf, server warm) is evaluated and reports its own
+//! failure before the exit, so one red gate never hides another;
+//! bit-identity violations still panic immediately. The generous
+//! tolerance absorbs timer noise on tiny smoke workloads while still
+//! catching order-of-magnitude regressions of the hot path.
 //!
 //! Each row also carries a span-attribution profile (one profiled run
 //! per workload: wall-clock per engine phase plus peak instance
-//! bytes), and the report ends with 1/2/4/8-thread scaling curves of
-//! the parallel driver: one on the small fan workload and one per
-//! ontology-scale generator workload (hundreds of TGDs, ≥10⁵ atoms in
-//! full mode; see `chase_workloads::scale`). Every scaling point
-//! carries the run's peak instance bytes.
-//!
-//! In smoke mode the scaling curves also act as a regression gate: the
-//! 2-thread parallel run must reach at least `SCALING_GATE_TOLERANCE`
-//! (default 0.95) times the sequential engine's speed on every curve —
-//! i.e. parallelism may never cost more than ~5% over sequential.
-//! Each point's `speedup_vs_sequential` is the median of interleaved
-//! paired ratios (sequential and parallel timed back-to-back per
-//! round), so drift in the host's speed across the curve cancels
-//! instead of reading as a phantom regression.
+//! bytes).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -47,13 +42,11 @@ use chase_bench::{
 };
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
-use chase_engine::driver::Parallelism;
 use chase_engine::oblivious::ObliviousChase;
 use chase_engine::restricted::{Budget, RestrictedChase};
 use chase_engine::seed::{SeedObliviousChase, SeedRestrictedChase};
 use chase_server::cache::{ProgramCache, ProgramCacheConfig};
-use chase_telemetry::{spans, RecordingObserver, SpanObserver};
-use chase_workloads::scale::{scale_workload, ScaleParams, Shape};
+use chase_telemetry::{spans, SpanObserver};
 
 /// Phase attribution from one profiled run of a workload: where the
 /// wall-clock inside the engine actually went.
@@ -66,24 +59,63 @@ struct PhaseProfile {
     peak_bytes: u64,
 }
 
+/// Min, median and max of one measured quantity over the repetitions.
+#[derive(Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        samples.sort_by(|a, b| a.total_cmp(b));
+        Spread {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
+        }
+    }
+
+    /// `min/median/max` with `decimals` digits after the point.
+    fn text(&self, decimals: usize) -> String {
+        let (min, median, max) = (self.min, self.median, self.max);
+        format!("{min:.decimals$}/{median:.decimals$}/{max:.decimals$}")
+    }
+
+    /// The same three values as a JSON object.
+    fn json(&self, decimals: usize) -> String {
+        let (min, median, max) = (self.min, self.median, self.max);
+        format!(
+            "{{\"min\": {min:.decimals$}, \"median\": {median:.decimals$}, \"max\": {max:.decimals$}}}"
+        )
+    }
+}
+
+/// One engine's timings over the paired repetitions of a row.
+struct Timing {
+    wall: Spread,
+    cpu: Spread,
+}
+
 /// One seed-vs-optimised comparison on one workload.
 struct Row {
     name: &'static str,
     steps: usize,
     atoms: usize,
-    seed_ns: u128,
-    opt_ns: u128,
-    par_ns: u128,
+    reps: usize,
+    seed: Timing,
+    opt: Timing,
+    /// Per-pair seed-over-optimised wall-clock ratios.
+    paired_speedup: Spread,
     profile: PhaseProfile,
 }
 
 impl Row {
+    /// Speedup of the minimum wall-clock times (the gate's figure).
     fn speedup(&self) -> f64 {
-        self.seed_ns as f64 / self.opt_ns.max(1) as f64
-    }
-
-    fn par_speedup(&self) -> f64 {
-        self.seed_ns as f64 / self.par_ns.max(1) as f64
+        self.seed.wall.min / self.opt.wall.min.max(1.0)
     }
 }
 
@@ -154,36 +186,6 @@ fn server_warm_section(rules: usize, runs: usize) -> ServerWarm {
     }
 }
 
-/// One point of the parallel driver's thread-scaling curve.
-struct ScalePoint {
-    threads: usize,
-    ns: u128,
-    /// Speedup vs the sequential engine as the **median of paired
-    /// ratios**: each sample round times sequential and parallel
-    /// back-to-back and takes their ratio, so host-speed drift
-    /// between rounds (cgroup throttling, noisy neighbours) cancels
-    /// instead of masquerading as a (anti-)speedup — the same
-    /// statistic the profiler overhead gate uses.
-    vs_seq: f64,
-    peak_bytes: u64,
-}
-
-/// One workload's thread-scaling curve, with a sequential
-/// (`Parallelism::Off`) reference for the regression gate.
-struct ScaleCurve {
-    workload: String,
-    steps: usize,
-    atoms: usize,
-    seq_ns: u128,
-    points: Vec<ScalePoint>,
-}
-
-impl ScaleCurve {
-    fn point(&self, threads: usize) -> Option<&ScalePoint> {
-        self.points.iter().find(|p| p.threads == threads)
-    }
-}
-
 /// Minimum wall-clock nanoseconds over `runs` invocations of `f`.
 ///
 /// Every run performs the bit-identical computation, so all variation
@@ -199,6 +201,78 @@ fn min_ns(runs: usize, mut f: impl FnMut()) -> u128 {
         })
         .min()
         .unwrap_or(u128::MAX)
+}
+
+/// CPU time consumed so far by this process (user + system, every
+/// thread), in nanoseconds: `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`.
+#[cfg(target_os = "linux")]
+fn process_cpu_ns() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, exclusively borrowed `struct timespec`
+    // (two 64-bit fields on 64-bit Linux); the call only writes to it.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// Wall-clock and process CPU nanoseconds of one call of `f`.
+fn measure(f: &mut impl FnMut()) -> (f64, f64) {
+    let cpu = process_cpu_ns();
+    let wall = Instant::now();
+    f();
+    let wall = wall.elapsed().as_nanos() as f64;
+    (wall, process_cpu_ns().saturating_sub(cpu) as f64)
+}
+
+/// Times `seed` and `opt` over `runs` paired repetitions, alternating
+/// which of the pair runs first so that neither engine always pays for
+/// a cold cache or a throttled start.
+fn paired_reps(
+    runs: usize,
+    mut seed: impl FnMut(),
+    mut opt: impl FnMut(),
+) -> (Timing, Timing, Spread) {
+    let runs = runs.max(1);
+    let (mut seed_wall, mut seed_cpu) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+    let (mut opt_wall, mut opt_cpu) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+    let mut ratios = Vec::with_capacity(runs);
+    for rep in 0..runs {
+        let (s, o) = if rep % 2 == 0 {
+            let s = measure(&mut seed);
+            (s, measure(&mut opt))
+        } else {
+            let o = measure(&mut opt);
+            (measure(&mut seed), o)
+        };
+        seed_wall.push(s.0);
+        seed_cpu.push(s.1);
+        opt_wall.push(o.0);
+        opt_cpu.push(o.1);
+        ratios.push(s.0 / o.0.max(1.0));
+    }
+    (
+        Timing {
+            wall: Spread::of(seed_wall),
+            cpu: Spread::of(seed_cpu),
+        },
+        Timing {
+            wall: Spread::of(opt_wall),
+            cpu: Spread::of(opt_cpu),
+        },
+        Spread::of(ratios),
+    )
 }
 
 /// One profiled run of `engine` → the phase attribution, after
@@ -238,21 +312,14 @@ fn restricted_row(
 ) -> Row {
     let seed_engine = SeedRestrictedChase::new(set);
     let opt_engine = RestrictedChase::new(set).record_derivation(false);
-    let par_engine = RestrictedChase::new(set)
-        .record_derivation(false)
-        .parallelism(Parallelism::On);
 
     let reference = seed_engine.run(db, budget);
-    for (label, run) in [
-        ("sequential", opt_engine.run(db, budget)),
-        ("parallel", par_engine.run(db, budget)),
-    ] {
-        assert_eq!(reference.steps, run.steps, "{name}/{label}: step mismatch");
-        assert_eq!(
-            reference.instance, run.instance,
-            "{name}/{label}: instance mismatch"
-        );
-    }
+    let run = opt_engine.run(db, budget);
+    assert_eq!(reference.steps, run.steps, "{name}: step mismatch");
+    assert_eq!(
+        reference.instance, run.instance,
+        "{name}: instance mismatch"
+    );
     // Exhaustive spans (no 1-in-K sampling): the attribution run is
     // not the one being timed, so fidelity beats overhead here.
     let profile = profile_restricted(
@@ -262,20 +329,23 @@ fn restricted_row(
         &reference,
         name,
     );
-
+    let (seed, opt, paired_speedup) = paired_reps(
+        runs,
+        || {
+            black_box(seed_engine.run(db, budget));
+        },
+        || {
+            black_box(opt_engine.run(db, budget));
+        },
+    );
     Row {
         name,
         steps: reference.steps,
         atoms: reference.instance.len(),
-        seed_ns: min_ns(runs, || {
-            black_box(seed_engine.run(db, budget));
-        }),
-        opt_ns: min_ns(runs, || {
-            black_box(opt_engine.run(db, budget));
-        }),
-        par_ns: min_ns(runs, || {
-            black_box(par_engine.run(db, budget));
-        }),
+        reps: runs,
+        seed,
+        opt,
+        paired_speedup,
         profile,
     }
 }
@@ -289,19 +359,14 @@ fn oblivious_row(
 ) -> Row {
     let seed_engine = SeedObliviousChase::new(set);
     let opt_engine = ObliviousChase::new(set);
-    let par_engine = ObliviousChase::new(set).parallelism(Parallelism::On);
 
     let reference = seed_engine.run(db, budget);
-    for (label, run) in [
-        ("sequential", opt_engine.run(db, budget)),
-        ("parallel", par_engine.run(db, budget)),
-    ] {
-        assert_eq!(reference.steps, run.steps, "{name}/{label}: step mismatch");
-        assert_eq!(
-            reference.instance, run.instance,
-            "{name}/{label}: instance mismatch"
-        );
-    }
+    let run = opt_engine.run(db, budget);
+    assert_eq!(reference.steps, run.steps, "{name}: step mismatch");
+    assert_eq!(
+        reference.instance, run.instance,
+        "{name}: instance mismatch"
+    );
     let profile = {
         let mut obs = SpanObserver::new();
         // Exhaustive spans: attribution fidelity over overhead.
@@ -325,99 +390,24 @@ fn oblivious_row(
             peak_bytes: p.peak_bytes,
         }
     };
-
+    let (seed, opt, paired_speedup) = paired_reps(
+        runs,
+        || {
+            black_box(seed_engine.run(db, budget));
+        },
+        || {
+            black_box(opt_engine.run(db, budget));
+        },
+    );
     Row {
         name,
         steps: reference.steps,
         atoms: reference.instance.len(),
-        seed_ns: min_ns(runs, || {
-            black_box(seed_engine.run(db, budget));
-        }),
-        opt_ns: min_ns(runs, || {
-            black_box(opt_engine.run(db, budget));
-        }),
-        par_ns: min_ns(runs, || {
-            black_box(par_engine.run(db, budget));
-        }),
+        reps: runs,
+        seed,
+        opt,
+        paired_speedup,
         profile,
-    }
-}
-
-/// Times the parallel restricted driver at fixed worker caps against a
-/// sequential reference, re-verifying bit-identity at every cap.
-/// Discovery work is partitioned over cells (slot × TGD), so the curve
-/// keeps scaling past the TGD count on delta-heavy workloads;
-/// restriction checks and trigger application stay sequential.
-fn scaling_curve(
-    workload: String,
-    set: &TgdSet,
-    db: &Instance,
-    budget: Budget,
-    runs: usize,
-    thread_counts: &[usize],
-) -> ScaleCurve {
-    let seq_engine = RestrictedChase::new(set).record_derivation(false);
-    let reference = seq_engine.run(db, budget);
-    // The sequential baseline is sampled *interleaved* with every
-    // parallel point rather than in its own block: on throttled or
-    // shared hosts the machine's speed drifts over the curve, and
-    // back-to-back pairs see the same conditions — a baseline timed
-    // minutes apart reads as a phantom (anti-)speedup.
-    let mut seq_ns = u128::MAX;
-    let points = thread_counts
-        .iter()
-        .map(|&threads| {
-            // Production parallel configuration (default threshold):
-            // small batches stay on-thread, so the curve measures the
-            // driver as the engines actually run it.
-            let engine = RestrictedChase::new(set)
-                .record_derivation(false)
-                .parallelism(Parallelism::On)
-                .workers(threads);
-            let run = engine.run(db, budget);
-            assert_eq!(
-                reference.steps, run.steps,
-                "{workload}/{threads}t: step mismatch"
-            );
-            assert_eq!(
-                reference.instance, run.instance,
-                "{workload}/{threads}t: instance mismatch"
-            );
-            // Peak bytes come from a separate profiled run (default
-            // sampling cadence) so the timed runs stay unobserved.
-            let peak_bytes = {
-                let mut obs = SpanObserver::new();
-                black_box(engine.run_observed(db, budget, &mut obs));
-                obs.profile().peak_bytes
-            };
-            let mut par_ns = u128::MAX;
-            let mut ratios = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let s = min_ns(1, || {
-                    black_box(seq_engine.run(db, budget));
-                });
-                let p = min_ns(1, || {
-                    black_box(engine.run(db, budget));
-                });
-                seq_ns = seq_ns.min(s);
-                par_ns = par_ns.min(p);
-                ratios.push(s as f64 / p.max(1) as f64);
-            }
-            ratios.sort_by(|a, b| a.total_cmp(b));
-            ScalePoint {
-                threads,
-                ns: par_ns,
-                vs_seq: ratios[ratios.len() / 2],
-                peak_bytes,
-            }
-        })
-        .collect();
-    ScaleCurve {
-        workload,
-        steps: reference.steps,
-        atoms: reference.instance.len(),
-        seq_ns,
-        points,
     }
 }
 
@@ -425,55 +415,47 @@ fn write_json(
     path: &str,
     mode: &str,
     host_cpus: usize,
-    requested_max_threads: usize,
     rows: &[Row],
-    scaling: &[ScaleCurve],
     server_warm: &ServerWarm,
 ) -> std::io::Result<()> {
-    // When the host cannot realise the requested curve, say so in the
-    // artifact itself — a reader comparing reports across machines
-    // must not mistake truncated curves for poor scaling — and stamp
-    // each surviving point with its parallel efficiency
-    // (speedup_vs_1 / threads) so host-bound points read honestly.
-    let truncated = host_cpus < requested_max_threads;
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(
         "  \"generated_by\": \"cargo run --release -p chase-bench --bin hotpath_report\",\n",
     );
-    // Scaling points are only measured up to the host's parallelism
-    // (oversubscribing a smaller machine measures scheduler thrash,
-    // not the driver), so curves must be read against this figure.
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    if truncated {
-        out.push_str(&format!(
-            "  \"warning\": \"host has {host_cpus} cpu(s), fewer than the largest requested \
-             thread count ({requested_max_threads}); scaling curves are truncated to the host \
-             parallelism and each point carries its parallel efficiency \
-             (speedup_vs_1 / threads)\",\n"
-        ));
-    }
     out.push_str(
         "  \"baseline\": \"seed engines (frozen recursive matcher; shares the optimised \
          instance/atom layers, so baseline times improve as those layers do)\",\n",
     );
+    out.push_str(
+        "  \"timing\": \"paired repetitions (seed and optimised back to back, alternating \
+         order); seed_ns/optimised_ns/speedup are the minimum wall-clock times, the \
+         *_wall_ns/*_cpu_ns objects the min/median/max over the repetitions (cpu = process \
+         CPU time), paired_speedup the min/median/max of per-pair seed/optimised ratios\",\n",
+    );
     out.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"steps\": {}, \"atoms\": {}, \
-             \"seed_ns\": {}, \"optimised_ns\": {}, \"parallel_ns\": {}, \
-             \"speedup\": {:.2}, \"parallel_speedup\": {:.2}, \
+            "    {{\"name\": \"{}\", \"steps\": {}, \"atoms\": {}, \"reps\": {}, \
+             \"seed_ns\": {:.0}, \"optimised_ns\": {:.0}, \"speedup\": {:.2}, \
+             \"seed_wall_ns\": {}, \"optimised_wall_ns\": {}, \
+             \"seed_cpu_ns\": {}, \"optimised_cpu_ns\": {}, \"paired_speedup\": {}, \
              \"profile\": {{\"match_ns\": {}, \"restriction_check_ns\": {}, \
              \"insert_ns\": {}, \"seed_phase_ns\": {}, \"index_maintain_ns\": {}, \
              \"peak_bytes\": {}}}}}{}\n",
             r.name,
             r.steps,
             r.atoms,
-            r.seed_ns,
-            r.opt_ns,
-            r.par_ns,
+            r.reps,
+            r.seed.wall.min,
+            r.opt.wall.min,
             r.speedup(),
-            r.par_speedup(),
+            r.seed.wall.json(0),
+            r.opt.wall.json(0),
+            r.seed.cpu.json(0),
+            r.opt.cpu.json(0),
+            r.paired_speedup.json(2),
             r.profile.match_ns,
             r.profile.check_ns,
             r.profile.insert_ns,
@@ -487,47 +469,14 @@ fn write_json(
     out.push_str(&format!(
         "  \"server_warm\": {{\"workload\": \"program cache resolve (cold compile vs \
          warm content-addressed hit)\", \"rules\": {}, \"source_bytes\": {}, \
-         \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}}},\n",
+         \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}}}\n",
         server_warm.rules,
         server_warm.source_bytes,
         server_warm.cold_ns,
         server_warm.warm_ns,
         server_warm.speedup(),
     ));
-    out.push_str("  \"scaling\": [\n");
-    for (c, curve) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"engine\": \"parallel restricted driver \
-             (persistent pool, cell-partitioned discovery, sequential checks)\", \
-             \"steps\": {}, \"atoms\": {}, \"sequential_ns\": {}, \"points\": [\n",
-            curve.workload, curve.steps, curve.atoms, curve.seq_ns
-        ));
-        let base_ns = curve.points.first().map(|p| p.ns).unwrap_or(1);
-        for (i, p) in curve.points.iter().enumerate() {
-            let speedup_vs_1 = base_ns as f64 / p.ns.max(1) as f64;
-            let efficiency = if truncated {
-                format!(", \"efficiency\": {:.2}", speedup_vs_1 / p.threads as f64)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "      {{\"threads\": {}, \"ns\": {}, \"speedup_vs_1\": {:.2}, \
-                 \"speedup_vs_sequential\": {:.2}, \"peak_bytes\": {}{}}}{}\n",
-                p.threads,
-                p.ns,
-                speedup_vs_1,
-                p.vs_seq,
-                p.peak_bytes,
-                efficiency,
-                if i + 1 == curve.points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if c + 1 == scaling.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("}\n");
     std::fs::write(path, out)
 }
 
@@ -571,102 +520,44 @@ fn main() {
         restricted_row("wide_existential_restricted", &wset, &wdb, budget, runs),
         oblivious_row("existential_oblivious", &eset, &edb, budget, runs),
     ];
-
-    // Thread-scaling curves: the small fan workload (one TGD per spoke
-    // kind) plus the ontology-scale generator workloads — hundreds of
-    // TGDs over 10⁵+ facts in full mode, where the persistent pool's
-    // cell-partitioned discovery carries the speedup.
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // Never oversubscribe: points beyond the host's cores measure
-    // scheduler thrash, not the driver. A single-CPU host gets the
-    // 1-thread point only (which doubles as the "parallelism must not
-    // cost anything" comparison against the sequential engine).
-    const REQUESTED_THREADS: [usize; 4] = [1, 2, 4, 8];
-    let requested_max = *REQUESTED_THREADS.iter().max().unwrap();
-    let threads: Vec<usize> = REQUESTED_THREADS
-        .into_iter()
-        .filter(|&t| t == 1 || t <= host_cpus)
-        .collect();
-    // Odd sample counts keep the paired-ratio median a real middle
-    // element rather than the upper of two.
-    let scale_runs = 5;
-    // Facts stay above the engines' default `parallel_threshold`
-    // (32768) even in smoke mode, so the curves exercise the same
-    // gating decisions the full run does — just with fewer rules.
-    let chain_params = ScaleParams {
-        shape: Shape::Chain,
-        predicates: if smoke { 40 } else { 200 },
-        facts: if smoke { 40_000 } else { 150_000 },
-        constants: 64,
-        existential_density: 0.9,
-        shards: 64,
-        seed: 7,
-    };
-    // Smoke keeps a full-rule component (mixed insert/check load);
-    // the full-size clique is pure-existential so the pair-copy
-    // closure cannot blow through the step budget at 10⁵ facts.
-    let clique_params = ScaleParams {
-        shape: Shape::Clique,
-        predicates: if smoke { 8 } else { 12 },
-        facts: if smoke { 40_000 } else { 120_000 },
-        constants: if smoke { 48 } else { 64 },
-        existential_density: if smoke { 0.85 } else { 1.0 },
-        shards: 64,
-        seed: 7,
-    };
-    let (_v, chain_set, chain_db) = scale_workload(&chain_params);
-    let (_v, clique_set, clique_db) = scale_workload(&clique_params);
     // Program-cache warm/cold comparison: hundreds of rules so the
     // cold compile is a realistic multi-millisecond admission cost.
     let server_warm = server_warm_section(if smoke { 150 } else { 500 }, runs);
-    let scaling = vec![
-        scaling_curve("fan_restricted".into(), &fset, &fdb, budget, runs, &threads),
-        scaling_curve(
-            chain_params.name(),
-            &chain_set,
-            &chain_db,
-            budget,
-            scale_runs,
-            &threads,
-        ),
-        scaling_curve(
-            clique_params.name(),
-            &clique_set,
-            &clique_db,
-            budget,
-            scale_runs,
-            &threads,
-        ),
-    ];
 
     println!(
-        "hot-path report ({}):",
+        "hot-path report ({}, {runs} paired reps, host has {host_cpus} cpu(s)):",
         if smoke { "smoke" } else { "full" }
     );
+    println!("  timings are min/median/max ns over the reps; speedup is seed/optimised per pair");
     for r in &rows {
         println!(
-            "  {:<28} steps={:<6} atoms={:<6} seed={:>10}ns opt={:>10}ns par={:>10}ns speedup={:.2}x par={:.2}x",
-            r.name, r.steps, r.atoms, r.seed_ns, r.opt_ns, r.par_ns, r.speedup(), r.par_speedup()
+            "  {:<28} steps={:<6} atoms={:<6} speedup={}x (of mins {:.2}x)",
+            r.name,
+            r.steps,
+            r.atoms,
+            r.paired_speedup.text(2),
+            r.speedup()
+        );
+        println!(
+            "  {:<28} seed: wall={} cpu={}",
+            "",
+            r.seed.wall.text(0),
+            r.seed.cpu.text(0)
+        );
+        println!(
+            "  {:<28} opt:  wall={} cpu={}",
+            "",
+            r.opt.wall.text(0),
+            r.opt.cpu.text(0)
         );
         let p = &r.profile;
         println!(
             "  {:<28} profile: match={}ns check={}ns insert={}ns seed={}ns index={}ns peak={}B",
             "", p.match_ns, p.check_ns, p.insert_ns, p.seed_ns, p.index_ns, p.peak_bytes
         );
-    }
-    for curve in &scaling {
-        println!(
-            "scaling ({}, steps={}, atoms={}, sequential={}ns):",
-            curve.workload, curve.steps, curve.atoms, curve.seq_ns
-        );
-        for p in &curve.points {
-            println!(
-                "  threads={} ns={} vs_seq={:.2}x peak={}B",
-                p.threads, p.ns, p.vs_seq, p.peak_bytes
-            );
-        }
     }
     println!(
         "server_warm: rules={} source={}B cold={}ns warm={}ns speedup={:.2}x",
@@ -681,19 +572,11 @@ fn main() {
         &out_path,
         if smoke { "smoke" } else { "full" },
         host_cpus,
-        requested_max,
         &rows,
-        &scaling,
         &server_warm,
     )
     .expect("write report");
     println!("wrote {out_path}");
-    if host_cpus < requested_max {
-        println!(
-            "note: host has {host_cpus} cpu(s) < requested {requested_max} threads; report \
-             carries a \"warning\" field and per-point \"efficiency\" values"
-        );
-    }
 
     if smoke {
         // Every gate is evaluated and reports its own failure, so one
@@ -706,7 +589,7 @@ fn main() {
             .unwrap_or(1.5);
         let mut failed = false;
         for r in &rows {
-            let slowdown = r.opt_ns as f64 / r.seed_ns.max(1) as f64;
+            let slowdown = r.opt.wall.min / r.seed.wall.min.max(1.0);
             if slowdown > tolerance {
                 eprintln!(
                     "PERF GATE: {} optimised engine is {slowdown:.2}x the seed baseline \
@@ -720,45 +603,6 @@ fn main() {
             failed_gates.push("perf");
         } else {
             println!("perf gate passed (optimised <= {tolerance:.2}x seed on every workload)");
-        }
-
-        // Scaling gate: parallelism must never cost more than ~5%
-        // over the sequential engine. On hosts with two or more cores
-        // the 2-thread point carries the comparison; a single-CPU host
-        // falls back to the 1-thread point (where the parallel engine
-        // must track the sequential one — no fan-out to hide behind).
-        // Like the hot-path gate, the tolerance absorbs smoke-size
-        // timer noise.
-        let scaling_tolerance: f64 = std::env::var("SCALING_GATE_TOLERANCE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.95);
-        let gate_threads = if host_cpus >= 2 { 2 } else { 1 };
-        let mut failed = false;
-        for curve in &scaling {
-            let Some(point) = curve.point(gate_threads) else {
-                continue;
-            };
-            // Median paired ratio, not ratio of mins: host-speed
-            // drift between sample rounds cancels within each pair.
-            let vs_seq = point.vs_seq;
-            if vs_seq < scaling_tolerance {
-                eprintln!(
-                    "SCALING GATE: {} {gate_threads}-thread parallel reaches only \
-                     {vs_seq:.2}x of sequential (tolerance {scaling_tolerance:.2}x)",
-                    curve.workload
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            failed_gates.push("scaling");
-        } else {
-            println!(
-                "scaling gate passed ({gate_threads}-thread parallel >= \
-                 {scaling_tolerance:.2}x sequential on every curve; host has \
-                 {host_cpus} cpu(s))"
-            );
         }
 
         // Program-cache gate: a warm content-addressed hit must be at
@@ -781,43 +625,6 @@ fn main() {
             println!(
                 "server warm gate passed (warm resolve {warm_speedup:.2}x >= \
                  {warm_gate:.2}x cold compile)"
-            );
-        }
-
-        // 2-thread bit-identity smoke: on multi-core hosts, re-run the
-        // fan workload with two workers under a recording observer and
-        // demand the exact sequential telemetry stream — the strongest
-        // cheap identity check (it pins slot ids, step order and event
-        // order, not just the final instance). Single-CPU hosts print
-        // a skip notice; the forced-worker equivalence proptests cover
-        // the combination there.
-        if host_cpus >= 2 {
-            let mut seq_obs = RecordingObserver::default();
-            let seq = RestrictedChase::new(&fset).run_observed(&fdb, budget, &mut seq_obs);
-            let mut par_obs = RecordingObserver::default();
-            let par = RestrictedChase::new(&fset)
-                .parallelism(Parallelism::On)
-                .parallel_threshold(0)
-                .workers(2)
-                .run_observed(&fdb, budget, &mut par_obs);
-            assert_eq!(seq.outcome, par.outcome, "2-thread smoke: outcome mismatch");
-            assert_eq!(seq.steps, par.steps, "2-thread smoke: step mismatch");
-            assert_eq!(
-                seq.instance, par.instance,
-                "2-thread smoke: instance mismatch"
-            );
-            assert_eq!(
-                seq_obs.events, par_obs.events,
-                "2-thread smoke: telemetry stream mismatch"
-            );
-            println!(
-                "2-thread bit-identity smoke passed (fan workload: outcome, steps, \
-                 instance and telemetry stream identical to sequential)"
-            );
-        } else {
-            println!(
-                "2-thread bit-identity smoke skipped: host has {host_cpus} cpu(s) < 2 \
-                 (forced-worker equivalence proptests cover multi-thread identity)"
             );
         }
 

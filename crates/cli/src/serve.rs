@@ -170,7 +170,6 @@ fn cmd_client_chase(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, Cl
             "--steps",
             "--max-atoms",
             "--deadline-ms",
-            "--threads",
             "--retries",
             "--program-ref",
         ],
@@ -214,9 +213,6 @@ fn cmd_client_chase(endpoint: &Endpoint, args: &[String]) -> Result<ExitCode, Cl
         }
         if let Some(ms) = num_flag(args, "--deadline-ms")? {
             line = line.num("deadline_ms", ms);
-        }
-        if let Some(threads) = crate::threads_from_flags(args)? {
-            line = line.num("threads", threads as u64);
         }
         if args.iter().any(|a| a == "--telemetry") {
             line = line.bool("telemetry", true);

@@ -120,10 +120,6 @@ impl TraceStats {
                 let delta = num("delta")?;
                 self.bump(&name, delta);
             }
-            "worker_panicked" => {
-                let panics = num("panics")?;
-                self.bump(names::WORKER_PANICS, panics);
-            }
             "run_interrupted" => self.bump(names::RUNS_INTERRUPTED, 1),
             "phase_entered" => {}
             "phase_exited" => {
@@ -385,11 +381,6 @@ mod tests {
                 name: "sticky.automaton_states",
                 delta: 17,
             },
-            Event::WorkerPanicked {
-                engine,
-                step: 1,
-                panics: 1,
-            },
             Event::RunInterrupted {
                 engine,
                 step: 2,
@@ -441,14 +432,12 @@ mod tests {
 {\"event\":\"trigger_deactivated\",\"engine\":\"restricted\",\"tgd\":0,\"step\":1}
 {\"event\":\"queue_depth\",\"engine\":\"restricted\",\"step\":1,\"depth\":3}
 {\"event\":\"counter_add\",\"name\":\"guarded.seeds_tried\",\"delta\":2}
-{\"event\":\"worker_panicked\",\"engine\":\"restricted\",\"step\":1,\"panics\":2}
 {\"event\":\"run_interrupted\",\"engine\":\"restricted\",\"step\":1,\"reason\":\"cancelled\"}
 {\"event\":\"phase_exited\",\"phase\":\"classify\",\"nanos\":100}
 {\"event\":\"phase_exited\",\"phase\":\"classify\",\"nanos\":50}
 ";
         let stats = aggregate(trace).unwrap();
-        assert_eq!(stats.events, 11);
-        assert_eq!(stats.counters[names::WORKER_PANICS], 2);
+        assert_eq!(stats.events, 10);
         assert_eq!(stats.counters[names::RUNS_INTERRUPTED], 1);
         assert_eq!(stats.counters[names::TRIGGERS_CHECKED], 2);
         assert_eq!(stats.counters[names::TRIGGERS_ACTIVE], 1);

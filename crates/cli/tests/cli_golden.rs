@@ -166,66 +166,36 @@ fn malformed_flag_values_are_usage_errors() {
         &run(&["chase", path, "--cancel-after"]),
         "flag without value",
     );
-    assert_usage_error(&run(&["chase", path, "--threads", "0"]), "zero threads");
-    assert_usage_error(
-        &run(&["oblivious", path, "--threads", "lots"]),
-        "bad threads",
-    );
 }
 
-/// `--threads` outside `1..=1024` is a usage error with an exact,
-/// actionable message (1024 is the instance layer's shard ceiling —
-/// more workers can never be scheduled).
+/// Every chase is sequential, so `--threads` is no longer an option:
+/// `chase`, `oblivious`, `profile` and `client chase` reject it as an
+/// unknown flag (exit 2), whatever its value.
 #[test]
-fn threads_flag_bounds_are_usage_errors_with_exact_messages() {
-    let rules = rule_file("threads-bounds", FINITE);
+fn threads_flag_is_a_usage_error() {
+    let rules = rule_file("threads", FINITE);
     let path = rules.to_str().unwrap();
-    let zero = run(&["chase", path, "--threads", "0"]);
-    assert_usage_error(&zero, "zero threads");
-    assert!(
-        stderr(&zero).contains("--threads must be at least 1 (1 = sequential)"),
-        "zero-threads message: {}",
-        stderr(&zero)
-    );
-    for over in ["1025", "4096"] {
-        let out = run(&["chase", path, "--threads", over]);
-        assert_usage_error(&out, "oversized threads");
+    for args in [
+        vec!["chase", path, "--threads", "2"],
+        vec!["oblivious", path, "--threads", "1"],
+        vec!["profile", path, "--threads", "2", "--runs", "1"],
+        vec![
+            "client",
+            "unix:/nonexistent.sock",
+            "chase",
+            path,
+            "--threads",
+            "2",
+        ],
+    ] {
+        let out = run(&args);
+        assert_usage_error(&out, &args.join(" "));
         assert!(
-            stderr(&out).contains(&format!("--threads must be at most 1024 (got {over})")),
-            "oversized-threads message: {}",
+            stderr(&out).contains("unknown option '--threads'"),
+            "{}",
             stderr(&out)
         );
     }
-    // The ceiling itself is accepted (and the boundary below it).
-    let ok = run(&["chase", path, "--threads", "1024"]);
-    assert_eq!(code(&ok), 0, "{}", stderr(&ok));
-    // Oblivious and profile share the same parser.
-    let ob = run(&["oblivious", path, "--threads", "2000"]);
-    assert_usage_error(&ob, "oblivious oversized threads");
-    assert!(
-        stderr(&ob).contains("must be at most 1024"),
-        "{}",
-        stderr(&ob)
-    );
-}
-
-/// `--threads` routes through the parallel driver, which must agree
-/// with the sequential engines on every workload.
-#[test]
-fn threads_flag_matches_sequential_output() {
-    let rules = rule_file("threads", FINITE);
-    let path = rules.to_str().unwrap();
-    let seq = run(&["chase", path]);
-    let par = run(&["chase", path, "--threads", "2"]);
-    assert_eq!(code(&seq), 0, "{}", stderr(&seq));
-    assert_eq!(code(&par), 0, "{}", stderr(&par));
-    assert_eq!(seq.stdout, par.stdout, "parallel run diverged");
-    let ob_seq = run(&["oblivious", path]);
-    let ob_par = run(&["oblivious", path, "--threads", "2"]);
-    assert_eq!(code(&ob_par), 0, "{}", stderr(&ob_par));
-    assert_eq!(ob_seq.stdout, ob_par.stdout, "parallel oblivious diverged");
-    let prof = run(&["profile", path, "--threads", "2", "--runs", "1"]);
-    assert_eq!(code(&prof), 0, "{}", stderr(&prof));
 }
 
 #[test]

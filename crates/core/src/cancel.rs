@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cheaply clonable flag shared between the
 //! party that *requests* a stop (a signal handler, a supervisor
 //! thread, a test harness) and the party that *honours* it (a chase
-//! loop, a decider, a discovery worker). Cancellation is cooperative:
+//! loop, a decider, a server session). Cancellation is cooperative:
 //! setting the flag never interrupts anything by force — long-running
 //! loops poll [`CancelToken::is_cancelled`] at their safe points and
 //! wind down with a truthful partial result.

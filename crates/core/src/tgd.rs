@@ -417,7 +417,6 @@ pub struct TgdSet {
     tgds: Vec<Tgd>,
     max_arity: usize,
     preds: Vec<PredId>,
-    join_bodies: usize,
     pair_plans: Vec<(PredId, u16, u16)>,
     body_pair_plans: Vec<(PredId, u16, u16)>,
 }
@@ -451,7 +450,6 @@ impl TgdSet {
                 }
             }
         }
-        let join_bodies = tgds.iter().filter(|t| t.body.len() > 1).count();
         let mut pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
         let mut body_pair_plans: Vec<(PredId, u16, u16)> = Vec::new();
         for tgd in &tgds {
@@ -470,7 +468,6 @@ impl TgdSet {
             tgds,
             max_arity,
             preds,
-            join_bodies,
             pair_plans,
             body_pair_plans,
         })
@@ -516,15 +513,6 @@ impl TgdSet {
     #[inline]
     pub fn max_arity(&self) -> usize {
         self.max_arity
-    }
-
-    /// Number of TGDs whose bodies have two or more atoms (true
-    /// joins). Used by the engines' parallel-discovery gating: narrow
-    /// (single-atom) bodies cost one index probe per delta row, while
-    /// join bodies cost roughly `rows` probes each.
-    #[inline]
-    pub fn join_bodies(&self) -> usize {
-        self.join_bodies
     }
 
     /// The union of all member TGDs' composite-index plans (see
@@ -857,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn tgd_set_aggregates_plans_and_join_counts() {
+    fn tgd_set_aggregates_plans() {
         let mut vocab = Vocabulary::new();
         let t1 = intro_rule(&mut vocab); // single-atom body
         let mut b = RuleBuilder::new(&mut vocab);
@@ -867,7 +855,6 @@ mod tests {
         b.head("M", &[x, z, w]).unwrap();
         let t2 = b.build().unwrap();
         let set = TgdSet::new(vec![t1, t2], &vocab).unwrap();
-        assert_eq!(set.join_bodies(), 1);
         let m = set.tgd(TgdId(1)).head()[0].pred;
         assert!(set.pair_plans().contains(&(m, 0, 1)));
         assert!(!set.body_pair_plans().contains(&(m, 0, 1)));

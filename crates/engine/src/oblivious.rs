@@ -9,27 +9,24 @@
 //!
 //! Like [`crate::restricted`], the loop identifies triggers by packed
 //! [`TriggerFp`] fingerprints (keyed on the frontier image under the
-//! semi-oblivious policy), enumerates deltas through a reused
-//! [`HomScratch`], and can fan discovery batches out over threads via
-//! [`Parallelism::On`] with bit-identical results.
+//! semi-oblivious policy) and enumerates deltas through a reused
+//! [`HomScratch`].
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use chase_core::hom::HomScratch;
-use chase_core::ids::fx_set;
+use chase_core::ids::{fx_set, VarId};
 use chase_core::instance::Instance;
-use chase_core::tgd::TgdSet;
+use chase_core::tgd::{Tgd, TgdSet};
 use chase_telemetry::{
     emit, emit_detail, span_enter, span_enter_sampled, spans, ChaseObserver, EngineKind, Event,
     NullObserver, NO_TGD,
 };
 
-use crate::driver::{collect_batch, go_parallel, BatchControl, FpVars, Parallelism};
 use crate::governor::{Budget, Outcome, ResourceGovernor};
-use crate::pool::DiscoveryPool;
 use crate::profiling::{
-    emit_profile_sample, emit_worker_spans, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
+    emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{for_each_trigger_using_with, for_each_trigger_with, Trigger, TriggerFp};
@@ -51,9 +48,6 @@ pub struct ObliviousRun {
 pub struct ObliviousChase<'a> {
     set: &'a TgdSet,
     policy: SkolemPolicy,
-    parallelism: Parallelism,
-    parallel_threshold: usize,
-    workers: Option<usize>,
     heartbeat_every: u64,
     profile_sample_every: u64,
 }
@@ -64,9 +58,6 @@ impl<'a> ObliviousChase<'a> {
         ObliviousChase {
             set,
             policy: SkolemPolicy::PerTrigger,
-            parallelism: Parallelism::Off,
-            parallel_threshold: 32_768,
-            workers: None,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
         }
@@ -75,32 +66,6 @@ impl<'a> ObliviousChase<'a> {
     /// Switches to the semi-oblivious chase (nulls keyed by frontier).
     pub fn semi_oblivious(mut self) -> Self {
         self.policy = SkolemPolicy::PerFrontier;
-        self
-    }
-
-    /// Enables or disables parallel trigger discovery. Results are
-    /// bit-identical either way; see [`crate::driver`].
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Minimum [`estimated_batch_work`](crate::driver::estimated_batch_work) (a join-aware model over batch
-    /// rows — instance atoms for the seed batch, fresh atoms for a
-    /// delta batch — and per-TGD body width) before a discovery batch
-    /// is fanned out under [`Parallelism::On`]. A threshold of `0`
-    /// forces every batch parallel regardless of size.
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
-    /// Caps the number of parallel discovery workers (`None` = one per
-    /// available core, still bounded by the TGD count). Results stay
-    /// bit-identical for any cap; the bench harness sweeps this for
-    /// its thread scaling curve.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
         self
     }
 
@@ -121,11 +86,12 @@ impl<'a> ObliviousChase<'a> {
         self
     }
 
-    /// The fingerprint layout identifying triggers under the policy.
-    fn fp_vars(&self) -> FpVars {
+    /// The variables identifying a trigger of `tgd` under the policy:
+    /// all body variables, or only the frontier (semi-oblivious).
+    fn fp_vars<'t>(&self, tgd: &'t Tgd) -> &'t [VarId] {
         match self.policy {
-            SkolemPolicy::PerTrigger => FpVars::SortedBody,
-            SkolemPolicy::PerFrontier => FpVars::Frontier,
+            SkolemPolicy::PerTrigger => tgd.sorted_body_vars(),
+            SkolemPolicy::PerFrontier => tgd.frontier(),
         }
     }
 
@@ -173,28 +139,23 @@ impl<'a> ObliviousChase<'a> {
         gov: &ResourceGovernor,
         obs: &mut O,
     ) -> ObliviousRun {
-        // One persistent pool handle per run; threads are spawned
-        // lazily on the first batch that fans out, then reused (with
-        // their resident scratches) for every later batch.
-        let mut pool = DiscoveryPool::new(self.workers);
-        self.run_governed_observed_in(database, gov, obs, &mut pool)
+        self.run_governed_observed_in(database, gov, obs, &mut HomScratch::new())
     }
 
-    /// [`ObliviousChase::run_governed_observed`] against a
-    /// caller-provided worker pool (see
-    /// [`crate::restricted::RestrictedChase::run_governed_observed_in`]
-    /// for the sharing contract: the pool must target
-    /// [`ObliviousChase::workers`], and carries no run-scoped state, so
-    /// reuse across runs is bit-identical to a fresh pool).
+    /// [`ObliviousChase::run_governed_observed`] with a caller-owned
+    /// matcher scratch for trigger discovery (see
+    /// [`crate::restricted::RestrictedChase::run_governed_observed_in`]:
+    /// the scratch carries no run-scoped state, so reuse across runs
+    /// is bit-identical to a fresh scratch).
     pub fn run_governed_observed_in<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        scratch: &mut HomScratch,
     ) -> ObliviousRun {
         let run_guard = span_enter(obs, spans::RUN, NO_TGD);
-        let run = self.run_inner(database, gov, obs, pool);
+        let run = self.run_inner(database, gov, obs, scratch);
         run_guard.exit(obs);
         run
     }
@@ -204,7 +165,7 @@ impl<'a> ObliviousChase<'a> {
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        enum_scratch: &mut HomScratch,
     ) -> ObliviousRun {
         let run_start = (obs.enabled() && obs.profiling()).then(std::time::Instant::now);
         let engine_kind = match self.policy {
@@ -226,7 +187,6 @@ impl<'a> ObliviousChase<'a> {
                 steps: 0,
             };
         }
-        let vars = self.fp_vars();
         let mut instance = database.clone();
         // Body joins only: the oblivious chase never runs restriction
         // checks, so head-satisfaction keys would be dead weight.
@@ -241,70 +201,22 @@ impl<'a> ObliviousChase<'a> {
         );
         let mut queue: VecDeque<Trigger> = VecDeque::new();
         let mut applied: chase_core::ids::FxHashSet<TriggerFp> = fx_set();
-        let mut enum_scratch = HomScratch::new();
-        // Single-worker pools skip the batch path entirely — it could
-        // only add per-trigger clones and a merge on the calling thread
-        // (see the restricted engine for the same reasoning).
-        let fan_out = pool.target_workers() > 1;
-
-        let mut batch_idx: u32 = 0;
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        if fan_out
-            && go_parallel(
-                self.set,
-                self.parallelism,
-                self.parallel_threshold,
-                instance.len(),
-            )
-        {
-            let batch = collect_batch(
-                self.set,
-                &instance,
-                None,
-                vars,
-                BatchControl {
-                    cancel: Some(gov.cancel_token()),
-                    inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                    worker_cap: self.workers,
-                },
-                &mut *pool,
-            );
-            batch_idx += 1;
-            emit_worker_spans(obs, &batch.worker_nanos);
-            if batch.panicked_workers > 0 {
-                emit(obs, || Event::WorkerPanicked {
+        let _ = for_each_trigger_with(enum_scratch, self.set, &instance, &mut |id, b| {
+            let fp = TriggerFp::of(id, b, self.fp_vars(self.set.tgd(id)));
+            if applied.insert(fp) {
+                emit_detail(obs, || Event::TriggerDiscovered {
                     engine: engine_kind,
+                    tgd: id.0,
                     step: 0,
-                    panics: batch.panicked_workers,
+                });
+                queue.push_back(Trigger {
+                    tgd: id,
+                    binding: b.clone(),
                 });
             }
-            for d in batch.discovered {
-                if applied.insert(d.fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: engine_kind,
-                        tgd: d.trigger.tgd.0,
-                        step: 0,
-                    });
-                    queue.push_back(d.trigger);
-                }
-            }
-        } else {
-            let _ = for_each_trigger_with(&mut enum_scratch, self.set, &instance, &mut |id, b| {
-                let fp = TriggerFp::of(id, b, vars.of(self.set.tgd(id)));
-                if applied.insert(fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: engine_kind,
-                        tgd: id.0,
-                        step: 0,
-                    });
-                    queue.push_back(Trigger {
-                        tgd: id,
-                        binding: b.clone(),
-                    });
-                }
-                ControlFlow::Continue(())
-            });
-        }
+            ControlFlow::Continue(())
+        });
         seed_guard.exit(obs);
         emit_detail(obs, || Event::QueueDepth {
             engine: engine_kind,
@@ -410,70 +322,28 @@ impl<'a> ObliviousChase<'a> {
             });
             let match_guard =
                 span_enter_sampled(obs, spans::MATCH, trigger.tgd.0, sampled, insert_end);
-            if fan_out
-                && !new_slots.is_empty()
-                && go_parallel(
-                    self.set,
-                    self.parallelism,
-                    self.parallel_threshold,
-                    new_slots.len(),
-                )
-            {
-                let batch = collect_batch(
+            for &slot in &new_slots {
+                let _ = for_each_trigger_using_with(
+                    enum_scratch,
                     self.set,
                     &instance,
-                    Some(&new_slots),
-                    vars,
-                    BatchControl {
-                        cancel: Some(gov.cancel_token()),
-                        inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                        worker_cap: self.workers,
+                    slot,
+                    &mut |id, b| {
+                        let fp = TriggerFp::of(id, b, self.fp_vars(self.set.tgd(id)));
+                        if applied.insert(fp) {
+                            emit_detail(obs, || Event::TriggerDiscovered {
+                                engine: engine_kind,
+                                tgd: id.0,
+                                step: steps as u64,
+                            });
+                            queue.push_back(Trigger {
+                                tgd: id,
+                                binding: b.clone(),
+                            });
+                        }
+                        ControlFlow::Continue(())
                     },
-                    &mut *pool,
                 );
-                batch_idx += 1;
-                emit_worker_spans(obs, &batch.worker_nanos);
-                if batch.panicked_workers > 0 {
-                    emit(obs, || Event::WorkerPanicked {
-                        engine: engine_kind,
-                        step: steps as u64,
-                        panics: batch.panicked_workers,
-                    });
-                }
-                for d in batch.discovered {
-                    if applied.insert(d.fp) {
-                        emit_detail(obs, || Event::TriggerDiscovered {
-                            engine: engine_kind,
-                            tgd: d.trigger.tgd.0,
-                            step: steps as u64,
-                        });
-                        queue.push_back(d.trigger);
-                    }
-                }
-            } else {
-                for &slot in &new_slots {
-                    let _ = for_each_trigger_using_with(
-                        &mut enum_scratch,
-                        self.set,
-                        &instance,
-                        slot,
-                        &mut |id, b| {
-                            let fp = TriggerFp::of(id, b, vars.of(self.set.tgd(id)));
-                            if applied.insert(fp) {
-                                emit_detail(obs, || Event::TriggerDiscovered {
-                                    engine: engine_kind,
-                                    tgd: id.0,
-                                    step: steps as u64,
-                                });
-                                queue.push_back(Trigger {
-                                    tgd: id,
-                                    binding: b.clone(),
-                                });
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                }
             }
             let match_end = match_guard.exit_now(obs);
             emit_detail(obs, || Event::QueueDepth {
@@ -616,29 +486,5 @@ mod tests {
             &r.instance,
             &o.instance
         ));
-    }
-
-    #[test]
-    fn parallel_oblivious_is_bit_identical() {
-        let src = "
-            R(a,b). R(b,c).
-            R(x,y) -> exists z. S(y,z).
-            S(u,v) -> exists w. R(v,w).
-        ";
-        let mut vocab = Vocabulary::new();
-        let p = parse_program(src, &mut vocab).unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        for semi in [false, true] {
-            let base = ObliviousChase::new(&set);
-            let base = if semi { base.semi_oblivious() } else { base };
-            let seq = base.clone().run(&p.database, Budget::steps(120));
-            let par = base
-                .parallelism(Parallelism::On)
-                .parallel_threshold(0)
-                .run(&p.database, Budget::steps(120));
-            assert_eq!(seq.outcome, par.outcome, "semi={semi}");
-            assert_eq!(seq.steps, par.steps, "semi={semi}");
-            assert_eq!(seq.instance, par.instance, "semi={semi}");
-        }
     }
 }

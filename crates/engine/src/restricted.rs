@@ -16,21 +16,19 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The run loop owns two [`HomScratch`] arenas (one driving trigger
-//! enumeration, one probing activeness), identifies triggers by packed
+//! The run loop uses two [`HomScratch`] arenas (one driving trigger
+//! enumeration, which a caller may lend across runs, one probing
+//! activeness), identifies triggers by packed
 //! [`TriggerFp`] fingerprints, and enumerates delta triggers through
 //! the borrowing `*_with` entry points — steady-state discovery and
 //! activeness checking perform no heap allocation. Queued candidates
 //! live as `Copy` spans into a flat binding arena, so queueing a
 //! trigger allocates nothing and a [`Trigger`] value is materialised
-//! only for the triggers actually *applied*. With [`Parallelism::On`],
-//! discovery batches whose estimated work clears `parallel_threshold`
-//! fan out over the persistent worker pool; the merged result is
-//! bit-identical to the sequential run (see [`crate::driver`]).
-//! Restriction checks and trigger application always run one trigger
-//! at a time, in queue order: the result of the restricted chase
-//! depends on that order, so every step sees exactly the instance
-//! its predecessors left.
+//! only for the triggers actually *applied*. Discovery, restriction
+//! checks and trigger application all run on the calling thread, one
+//! trigger at a time, in queue order: the result of the restricted
+//! chase depends on that order, so every step sees exactly the
+//! instance its predecessors left.
 //!
 //! ## Memoised restriction checks
 //!
@@ -71,11 +69,9 @@ use chase_telemetry::{
 };
 
 use crate::derivation::{Derivation, Step};
-use crate::driver::{collect_batch, go_parallel, BatchControl, FpVars, Parallelism};
 use crate::governor::ResourceGovernor;
-use crate::pool::DiscoveryPool;
 use crate::profiling::{
-    emit_profile_sample, emit_worker_spans, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
+    emit_profile_sample, DEFAULT_HEARTBEAT_EVERY, DEFAULT_PROFILE_SAMPLE_EVERY,
 };
 use crate::skolem::{SkolemPolicy, SkolemTable};
 use crate::trigger::{
@@ -346,9 +342,6 @@ pub struct RestrictedChase<'a> {
     set: &'a TgdSet,
     strategy: Strategy,
     record: bool,
-    parallelism: Parallelism,
-    parallel_threshold: usize,
-    workers: Option<usize>,
     heartbeat_every: u64,
     profile_sample_every: u64,
 }
@@ -361,9 +354,6 @@ impl<'a> RestrictedChase<'a> {
             set,
             strategy: Strategy::Fifo,
             record: true,
-            parallelism: Parallelism::Off,
-            parallel_threshold: 32_768,
-            workers: None,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             profile_sample_every: DEFAULT_PROFILE_SAMPLE_EVERY,
         }
@@ -381,37 +371,6 @@ impl<'a> RestrictedChase<'a> {
         self
     }
 
-    /// Enables or disables parallel trigger discovery. Results are
-    /// bit-identical either way; see [`crate::driver`].
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Minimum estimated batch work (see
-    /// [`crate::driver::estimated_batch_work`]: delta rows weighted by
-    /// per-TGD body width, so wide join bodies count quadratically and
-    /// single-atom bodies linearly) before a discovery batch is fanned
-    /// out under [`Parallelism::On`]. Defaults to 32768 — in practice
-    /// the seed batch of a join-heavy workload over a large database
-    /// parallelises, while narrow batches (hundreds of rows against
-    /// width-1 bodies, where a sequential pass costs microseconds) and
-    /// per-step delta batches stay on the hot sequential path. Set to
-    /// 0 to force the parallel path (tests).
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
-    }
-
-    /// Caps the number of parallel discovery workers (`None` = one per
-    /// available core, still bounded by the TGD count). Results stay
-    /// bit-identical for any cap; the bench harness sweeps this for
-    /// its thread scaling curve.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
     /// Sets the step cadence of the profiling stream's periodic
     /// memory/heartbeat samples (default 1024). Only consulted when
     /// the observer opts into profiling; a final sample is always
@@ -425,9 +384,8 @@ impl<'a> RestrictedChase<'a> {
     /// gets a full span subtree (default
     /// [`DEFAULT_PROFILE_SAMPLE_EVERY`], pop 0 always sampled; see
     /// [`crate::profiling`]). `1` spans every pop exactly.
-    /// Sampling is deterministic in the pop index, so sequential and
-    /// parallel runs sample the same steps. Only consulted when the
-    /// observer opts into profiling.
+    /// Sampling is deterministic in the pop index. Only consulted when
+    /// the observer opts into profiling.
     pub fn profile_sample_every(mut self, pops: u64) -> Self {
         self.profile_sample_every = pops.max(1);
         self
@@ -467,47 +425,34 @@ impl<'a> RestrictedChase<'a> {
     /// When `obs` opts into profiling (see
     /// [`ChaseObserver::profiling`]) the run additionally streams
     /// hierarchical spans (`run → seed | step →
-    /// {restriction_check, insert, match}`, plus `index_maintain` and
-    /// per-worker spans of parallel batches), periodic memory samples
-    /// and progress heartbeats. The profiling stream never influences
-    /// the derivation: profiled and unprofiled runs are bit-identical.
+    /// {restriction_check, insert, match}`, plus `index_maintain`),
+    /// periodic memory samples and progress heartbeats. The profiling
+    /// stream never influences the derivation: profiled and unprofiled
+    /// runs are bit-identical.
     pub fn run_governed_observed<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
     ) -> ChaseRun {
-        // One persistent worker pool for the whole run: spawned lazily
-        // on the first parallel batch, reused (threads and per-worker
-        // scratches) by every discovery batch after it. Sequential
-        // runs never spawn a thread.
-        let mut pool = DiscoveryPool::new(self.workers);
-        self.run_governed_observed_in(database, gov, obs, &mut pool)
+        self.run_governed_observed_in(database, gov, obs, &mut HomScratch::new())
     }
 
-    /// [`RestrictedChase::run_governed_observed`] against a
-    /// caller-provided worker pool, so a resident process (the chase
-    /// server's session runners) can keep one warm [`DiscoveryPool`]
-    /// per thread configuration and reuse its spawned workers and
-    /// scratches across many runs instead of re-parking threads per
-    /// request.
-    ///
-    /// The pool must target the same worker count this engine was
-    /// configured with ([`RestrictedChase::workers`]); parallel gating
-    /// consults `pool.target_workers()`, so a mismatched pool would
-    /// make the run's fan-out decisions differ from a fresh-pool run.
-    /// The run is bit-identical to [`RestrictedChase::run_governed_observed`]
-    /// whenever that invariant holds — the pool carries no run-scoped
-    /// state, only threads and reusable scratch arenas.
+    /// [`RestrictedChase::run_governed_observed`] with a caller-owned
+    /// matcher scratch for trigger discovery, so a resident process
+    /// (the chase server's session runners) reuses one set of matcher
+    /// arenas across many runs instead of allocating them per run.
+    /// The scratch carries no run-scoped state: the run is
+    /// bit-identical to [`RestrictedChase::run_governed_observed`].
     pub fn run_governed_observed_in<O: ChaseObserver + ?Sized>(
         &self,
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        scratch: &mut HomScratch,
     ) -> ChaseRun {
         let run_guard = span_enter(obs, spans::RUN, NO_TGD);
-        let run = self.run_inner(database, gov, obs, pool);
+        let run = self.run_inner(database, gov, obs, scratch);
         run_guard.exit(obs);
         run
     }
@@ -517,7 +462,7 @@ impl<'a> RestrictedChase<'a> {
         database: &Instance,
         gov: &ResourceGovernor,
         obs: &mut O,
-        pool: &mut DiscoveryPool,
+        enum_scratch: &mut HomScratch,
     ) -> ChaseRun {
         const ENGINE: EngineKind = EngineKind::Restricted;
         // `Some` exactly when the observer opted into profiling;
@@ -565,75 +510,23 @@ impl<'a> RestrictedChase<'a> {
             Strategy::Random(seed) => Some(XorShift64::new(seed)),
             _ => None,
         };
-        let mut enum_scratch = HomScratch::new();
         let mut active_scratch = HomScratch::new();
         let mut memo = FrontierMemo::new(self.set);
 
-        // Parallel discovery batches are numbered in execution order so
-        // the fault plan can target one deterministically.
-        let mut batch_idx: u32 = 0;
-
-        // A pool of one can't fan anything out: the batch path would
-        // only add per-trigger clones and a merge sort on the calling
-        // thread, so single-worker runs (the default on a single-CPU
-        // host) keep the plain sequential enumeration.
-        let fan_out = pool.target_workers() > 1;
-
         // Seed: all triggers on the database.
         let seed_guard = span_enter(obs, spans::SEED, NO_TGD);
-        if fan_out
-            && go_parallel(
-                self.set,
-                self.parallelism,
-                self.parallel_threshold,
-                instance.len(),
-            )
-        {
-            let batch = collect_batch(
-                self.set,
-                &instance,
-                None,
-                FpVars::SortedBody,
-                BatchControl {
-                    cancel: Some(gov.cancel_token()),
-                    inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                    worker_cap: self.workers,
-                },
-                &mut *pool,
-            );
-            batch_idx += 1;
-            emit_worker_spans(obs, &batch.worker_nanos);
-            if batch.panicked_workers > 0 {
-                emit(obs, || Event::WorkerPanicked {
+        let _ = for_each_trigger_with(enum_scratch, self.set, &instance, &mut |id, b| {
+            let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+            if seen.insert(fp) {
+                emit_detail(obs, || Event::TriggerDiscovered {
                     engine: ENGINE,
+                    tgd: id.0,
                     step: 0,
-                    panics: batch.panicked_workers,
                 });
+                queue.push(Queued::store(&mut arena, id, b));
             }
-            for d in batch.discovered {
-                if seen.insert(d.fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: ENGINE,
-                        tgd: d.trigger.tgd.0,
-                        step: 0,
-                    });
-                    queue.push(Queued::store(&mut arena, d.trigger.tgd, &d.trigger.binding));
-                }
-            }
-        } else {
-            let _ = for_each_trigger_with(&mut enum_scratch, self.set, &instance, &mut |id, b| {
-                let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
-                if seen.insert(fp) {
-                    emit_detail(obs, || Event::TriggerDiscovered {
-                        engine: ENGINE,
-                        tgd: id.0,
-                        step: 0,
-                    });
-                    queue.push(Queued::store(&mut arena, id, b));
-                }
-                ControlFlow::Continue(())
-            });
-        }
+            ControlFlow::Continue(())
+        });
         seed_guard.exit(obs);
         emit_detail(obs, || Event::QueueDepth {
             engine: ENGINE,
@@ -790,67 +683,25 @@ impl<'a> RestrictedChase<'a> {
             // Delta discovery: only triggers using a fresh atom.
             let match_guard =
                 span_enter_sampled(obs, spans::MATCH, popped.tgd.0, sampled, insert_end);
-            if fan_out
-                && !new_slots.is_empty()
-                && go_parallel(
-                    self.set,
-                    self.parallelism,
-                    self.parallel_threshold,
-                    new_slots.len(),
-                )
-            {
-                let batch = collect_batch(
+            for &slot in &new_slots {
+                let _ = for_each_trigger_using_with(
+                    enum_scratch,
                     self.set,
                     &instance,
-                    Some(&new_slots),
-                    FpVars::SortedBody,
-                    BatchControl {
-                        cancel: Some(gov.cancel_token()),
-                        inject_panic_worker: gov.faults().panic_worker_in(batch_idx),
-                        worker_cap: self.workers,
+                    slot,
+                    &mut |id, b| {
+                        let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
+                        if seen.insert(fp) {
+                            emit_detail(obs, || Event::TriggerDiscovered {
+                                engine: ENGINE,
+                                tgd: id.0,
+                                step: steps as u64,
+                            });
+                            queue.push(Queued::store(&mut arena, id, b));
+                        }
+                        ControlFlow::Continue(())
                     },
-                    &mut *pool,
                 );
-                batch_idx += 1;
-                emit_worker_spans(obs, &batch.worker_nanos);
-                if batch.panicked_workers > 0 {
-                    emit(obs, || Event::WorkerPanicked {
-                        engine: ENGINE,
-                        step: steps as u64,
-                        panics: batch.panicked_workers,
-                    });
-                }
-                for d in batch.discovered {
-                    if seen.insert(d.fp) {
-                        emit_detail(obs, || Event::TriggerDiscovered {
-                            engine: ENGINE,
-                            tgd: d.trigger.tgd.0,
-                            step: steps as u64,
-                        });
-                        queue.push(Queued::store(&mut arena, d.trigger.tgd, &d.trigger.binding));
-                    }
-                }
-            } else {
-                for &slot in &new_slots {
-                    let _ = for_each_trigger_using_with(
-                        &mut enum_scratch,
-                        self.set,
-                        &instance,
-                        slot,
-                        &mut |id, b| {
-                            let fp = TriggerFp::of(id, b, self.set.tgd(id).sorted_body_vars());
-                            if seen.insert(fp) {
-                                emit_detail(obs, || Event::TriggerDiscovered {
-                                    engine: ENGINE,
-                                    tgd: id.0,
-                                    step: steps as u64,
-                                });
-                                queue.push(Queued::store(&mut arena, id, b));
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                }
             }
             let match_end = match_guard.exit_now(obs);
             emit_detail(obs, || Event::QueueDepth {
@@ -1080,53 +931,6 @@ mod tests {
         );
         assert_eq!(run.outcome, Outcome::BudgetExhausted);
         assert!(run.instance.len() <= 10);
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical() {
-        use chase_telemetry::RecordingObserver;
-        let src = "
-            R(a,b). R(b,c). R(c,d).
-            R(x,y), R(y,z) -> exists w. R(z,w).
-            R(x,y) -> S(y).
-            S(x) -> exists u. T(x,u).
-        ";
-        let mut vocab = Vocabulary::new();
-        let p = parse_program(src, &mut vocab).unwrap();
-        let set = p.tgd_set(&vocab).unwrap();
-        for strategy in [
-            Strategy::Fifo,
-            Strategy::Lifo,
-            Strategy::Random(99),
-            Strategy::PriorityTgd,
-        ] {
-            let budget = Budget::steps(40);
-            let seq = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .run(&p.database, budget);
-            let mut seq_obs = RecordingObserver::default();
-            let _ = RestrictedChase::new(&set).strategy(strategy).run_observed(
-                &p.database,
-                budget,
-                &mut seq_obs,
-            );
-            let mut par_obs = RecordingObserver::default();
-            let par = RestrictedChase::new(&set)
-                .strategy(strategy)
-                .parallelism(Parallelism::On)
-                .parallel_threshold(0)
-                .run_observed(&p.database, budget, &mut par_obs);
-            assert_eq!(seq.outcome, par.outcome, "{strategy:?}");
-            assert_eq!(seq.steps, par.steps, "{strategy:?}");
-            assert_eq!(seq.instance, par.instance, "{strategy:?}");
-            assert_eq!(
-                seq.derivation.steps.len(),
-                par.derivation.steps.len(),
-                "{strategy:?}"
-            );
-            // Even the telemetry streams coincide.
-            assert_eq!(seq_obs.events, par_obs.events, "{strategy:?}");
-        }
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! injected via [`FaultPlan::task_panic_at_step`] — into
 //! [`TaskError::Panicked`].
 //!
-//! Pool sharing: a caller that runs many tasks (the chase server's
-//! session runners) passes `Some(&mut pool)` to reuse one warm
-//! [`DiscoveryPool`] across runs. The pool must target the same worker
-//! count as the spec's `threads` (see
-//! [`RestrictedChase::run_governed_observed_in`]); results are then
-//! bit-identical to fresh-pool runs, which is what the server's
+//! Scratch sharing: a caller that runs many tasks (the chase server's
+//! session runners) passes `Some(&mut scratch)` to lend one matcher
+//! [`HomScratch`] to every run (see
+//! [`RestrictedChase::run_governed_observed_in`]); results are
+//! bit-identical to fresh-scratch runs, which is what the server's
 //! isolation suite asserts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,16 +28,14 @@ use std::time::Duration;
 
 use chase_core::cancel::CancelToken;
 use chase_core::compile::{compile, CompiledProgram};
+use chase_core::hom::HomScratch;
 use chase_core::instance::Instance;
 use chase_core::tgd::TgdSet;
-use chase_core::vocab::Vocabulary;
 use chase_telemetry::ChaseObserver;
 
-use crate::driver::Parallelism;
-use crate::faults::{silence_injected_panics, FaultPlan, InjectedWorkerPanic};
+use crate::faults::{silence_injected_panics, FaultPlan, InjectedPanic};
 use crate::governor::{Budget, Outcome, ResourceGovernor};
 use crate::oblivious::ObliviousChase;
-use crate::pool::DiscoveryPool;
 use crate::restricted::{RestrictedChase, Strategy};
 
 /// Which chase procedure a task runs.
@@ -90,8 +87,8 @@ pub struct ChaseTaskSpec {
     /// Wall-clock deadline, measured from the moment the task starts
     /// (not from when it was enqueued).
     pub deadline: Option<Duration>,
-    /// Worker threads: `None` for sequential, `Some(n)` for parallel
-    /// discovery with `n` workers.
+    /// The wire's `threads` request. Accepted and ignored: every run
+    /// discovers triggers on the calling thread.
     pub threads: Option<usize>,
     /// Deterministic fault plan (tests and the server's isolation
     /// suite).
@@ -102,7 +99,7 @@ pub struct ChaseTaskSpec {
 
 impl ChaseTaskSpec {
     /// A restricted-chase task over `source` with defaults everywhere
-    /// else (FIFO, unbounded budget, no deadline, sequential).
+    /// else (FIFO, unbounded budget, no deadline).
     pub fn restricted(source: impl Into<String>) -> Self {
         ChaseTaskSpec {
             program: ProgramInput::Source(source.into()),
@@ -177,8 +174,9 @@ pub struct TaskOutput {
     pub steps: usize,
     /// The (possibly partial) result instance.
     pub instance: Instance,
-    /// The vocabulary the instance's symbols live in.
-    pub vocab: Vocabulary,
+    /// The program the task ran; its vocabulary names the instance's
+    /// symbols.
+    pub program: Arc<CompiledProgram>,
 }
 
 impl TaskOutput {
@@ -195,7 +193,7 @@ impl TaskOutput {
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = chase_core::ids::FxHasher::default();
-        h.write(self.instance.display(&self.vocab).as_bytes());
+        h.write(self.instance.display(self.program.vocab()).as_bytes());
         h.write_usize(self.steps);
         h.write_u8(match self.outcome {
             Outcome::Terminated => 0,
@@ -209,7 +207,7 @@ impl TaskOutput {
 
 /// Renders a panic payload for [`TaskError::Panicked`].
 fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
-    if payload.downcast_ref::<InjectedWorkerPanic>().is_some() {
+    if payload.downcast_ref::<InjectedPanic>().is_some() {
         return "injected task panic".to_string();
     }
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -230,10 +228,9 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 /// scheduler. The injected-panic silencing hook is installed up front
 /// so contained panics do not spam stderr.
 ///
-/// `pool`: `Some` to reuse a caller-owned [`DiscoveryPool`] (it must
-/// target `spec.threads` workers — the chase server keys its pool
-/// cache by thread count to guarantee this); `None` runs with a fresh
-/// per-run pool, identical behaviour either way.
+/// `scratch`: `Some` to lend a caller-owned matcher [`HomScratch`] to
+/// the run (the chase server keeps one per runner); `None` runs with a
+/// fresh one, identical behaviour either way.
 ///
 /// The observer sees exactly the event stream a direct
 /// `run_governed_observed` call would produce; on panic it may have
@@ -242,10 +239,10 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn run_chase_task<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut HomScratch>,
 ) -> Result<TaskOutput, TaskError> {
     silence_injected_panics();
-    let result = catch_unwind(AssertUnwindSafe(|| run_task_inner(spec, obs, pool)));
+    let result = catch_unwind(AssertUnwindSafe(|| run_task_inner(spec, obs, scratch)));
     match result {
         Ok(inner) => inner,
         Err(payload) => Err(TaskError::Panicked(describe_panic(payload))),
@@ -255,7 +252,7 @@ pub fn run_chase_task<O: ChaseObserver + ?Sized>(
 fn run_task_inner<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut HomScratch>,
 ) -> Result<TaskOutput, TaskError> {
     // Source input compiles here, inside the containment boundary;
     // compiled input is consumed by reference so a cache-hit session
@@ -263,52 +260,36 @@ fn run_task_inner<O: ChaseObserver + ?Sized>(
     match &spec.program {
         ProgramInput::Source(source) => {
             let compiled = compile(source).map_err(|e| TaskError::Parse(e.to_string()))?;
-            run_task_on(spec, &compiled, obs, pool)
+            run_task_on(spec, &compiled, obs, scratch)
         }
-        ProgramInput::Compiled(compiled) => run_task_on(spec, compiled, obs, pool),
+        ProgramInput::Compiled(compiled) => run_task_on(spec, compiled, obs, scratch),
     }
 }
 
 fn run_task_on<O: ChaseObserver + ?Sized>(
     spec: &ChaseTaskSpec,
-    program: &CompiledProgram,
+    program: &Arc<CompiledProgram>,
     obs: &mut O,
-    pool: Option<&mut DiscoveryPool>,
+    scratch: Option<&mut HomScratch>,
 ) -> Result<TaskOutput, TaskError> {
     let set: &TgdSet = program.tgd_set();
     let gov = spec.governor();
-    // A fresh fallback pool for pool-less callers, constructed exactly
-    // as the engines' own entry points would (same `workers` argument),
-    // so pooled and pool-less runs are indistinguishable. Built only
-    // when needed: for `threads: None` the constructor probes the host
-    // for its core count.
-    let mut fresh;
-    let pool = match pool {
-        Some(shared) => shared,
-        None => {
-            fresh = DiscoveryPool::new(spec.threads);
-            &mut fresh
-        }
-    };
+    let mut fresh = HomScratch::new();
+    let scratch = scratch.unwrap_or(&mut fresh);
     let (outcome, steps, instance) = match spec.engine {
         TaskEngine::Restricted { strategy } => {
-            let mut engine = RestrictedChase::new(set).strategy(strategy);
-            if let Some(n) = spec.threads {
-                engine = engine.parallelism(Parallelism::On).workers(n);
-            }
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, pool);
+            let run = RestrictedChase::new(set)
+                .strategy(strategy)
+                .run_governed_observed_in(program.database(), &gov, obs, scratch);
             (run.outcome, run.steps, run.instance)
         }
         TaskEngine::Oblivious { semi } => {
-            let mut engine = if semi {
+            let engine = if semi {
                 ObliviousChase::new(set).semi_oblivious()
             } else {
                 ObliviousChase::new(set)
             };
-            if let Some(n) = spec.threads {
-                engine = engine.parallelism(Parallelism::On).workers(n);
-            }
-            let run = engine.run_governed_observed_in(program.database(), &gov, obs, pool);
+            let run = engine.run_governed_observed_in(program.database(), &gov, obs, scratch);
             (run.outcome, run.steps, run.instance)
         }
     };
@@ -316,7 +297,7 @@ fn run_task_on<O: ChaseObserver + ?Sized>(
         outcome,
         steps,
         instance,
-        vocab: program.vocab().clone(),
+        program: Arc::clone(program),
     })
 }
 
@@ -375,15 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_runs_are_bit_identical_to_fresh_pool_runs() {
+    fn lent_scratch_runs_are_bit_identical_to_fresh_scratch_runs() {
         let mut spec = ChaseTaskSpec::restricted(INFINITE);
         spec.budget = Budget::steps(64);
-        spec.threads = Some(2);
         let fresh = run_chase_task(&spec, &mut NullObserver, None).unwrap();
-        let mut pool = DiscoveryPool::new(Some(2));
-        for _ in 0..3 {
-            let shared = run_chase_task(&spec, &mut NullObserver, Some(&mut pool)).unwrap();
-            assert_eq!(shared.fingerprint(), fresh.fingerprint());
+        let mut scratch = HomScratch::new();
+        for threads in [None, Some(2), None] {
+            // `threads` is ignored: every run is the same sequential run.
+            spec.threads = threads;
+            let lent = run_chase_task(&spec, &mut NullObserver, Some(&mut scratch)).unwrap();
+            assert_eq!(lent.fingerprint(), fresh.fingerprint());
         }
     }
 

@@ -241,9 +241,8 @@ pub fn head_satisfied_with(
 /// Enumerates every trigger of the single TGD `(id, tgd)` on
 /// `instance` through a caller-owned scratch, handing out
 /// `(id, &binding)` pairs without constructing [`Trigger`] values.
-/// Building block of both the sequential enumeration and the parallel
-/// driver's per-TGD partitioning.
-pub fn for_each_trigger_of_tgd_with(
+/// The per-TGD slice of [`for_each_trigger_with`].
+fn for_each_trigger_of_tgd_with(
     scratch: &mut HomScratch,
     id: TgdId,
     tgd: &Tgd,
@@ -297,7 +296,7 @@ pub fn for_each_trigger_using_with(
 
 /// The single-TGD slice of [`for_each_trigger_using_with`]: delta
 /// triggers of `(id, tgd)` whose body uses the atom at `new_slot`.
-pub fn for_each_trigger_of_tgd_using_with(
+fn for_each_trigger_of_tgd_using_with(
     scratch: &mut HomScratch,
     id: TgdId,
     tgd: &Tgd,

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection suite (`cargo test -p chase-engine
-//! faults`): every scripted fault — worker panics, injected deadlines,
-//! cancellations, flaky telemetry sinks, and arbitrary seeded
-//! combinations — must yield a clean [`Outcome`], intact telemetry and
+//! faults`): every scripted fault — injected deadlines, cancellations,
+//! flaky telemetry sinks, and arbitrary seeded combinations — must
+//! yield a clean [`Outcome`], intact telemetry and
 //! no poisoned state. All test functions are named `faults_*` so the
 //! CI gate can select exactly this suite.
 
@@ -9,15 +9,12 @@ use proptest::prelude::*;
 
 use chase_core::parser::parse_program;
 use chase_core::vocab::Vocabulary;
-use chase_engine::driver::Parallelism;
-use chase_engine::faults::{FaultPlan, FlakyWriter, WorkerPanic};
+use chase_engine::faults::{FaultPlan, FlakyWriter};
 use chase_engine::governor::{Budget, Outcome, ResourceGovernor};
 use chase_engine::restricted::{ChaseRun, RestrictedChase};
 use chase_telemetry::{Event, JsonlWriter, RecordingObserver};
 
-/// A non-terminating multi-TGD program: several TGDs so parallel
-/// discovery actually spawns several workers (the driver caps the
-/// worker count at the TGD count), and an infinite chase so injected
+/// A non-terminating multi-TGD program: an infinite chase, so injected
 /// step-indexed faults always get a chance to fire.
 const PROGRAM: &str = "\
     R(a,b).\n\
@@ -32,17 +29,14 @@ fn build(vocab: &mut Vocabulary) -> (chase_core::instance::Instance, chase_core:
     (program.database, set)
 }
 
-/// Runs the parallel restricted chase under `gov`, recording telemetry.
-fn run_parallel(
+/// Runs the restricted chase under `gov`, recording telemetry.
+fn run_recorded(
     set: &chase_core::tgd::TgdSet,
     db: &chase_core::instance::Instance,
     gov: &ResourceGovernor,
 ) -> (ChaseRun, Vec<Event>) {
     let mut rec = RecordingObserver::default();
-    let run = RestrictedChase::new(set)
-        .parallelism(Parallelism::On)
-        .parallel_threshold(0)
-        .run_governed_observed(db, gov, &mut rec);
+    let run = RestrictedChase::new(set).run_governed_observed(db, gov, &mut rec);
     (run, rec.events)
 }
 
@@ -53,53 +47,6 @@ fn assert_runs_identical(a: &ChaseRun, b: &ChaseRun) {
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.instance, b.instance);
     assert_eq!(format!("{:?}", a.derivation), format!("{:?}", b.derivation));
-}
-
-/// A panicking discovery worker must not change *anything* observable:
-/// the driver discards the batch's partial output, recomputes it
-/// sequentially, and the run continues — bit-identical outcome, steps,
-/// instance, derivation, and telemetry stream (minus the
-/// `WorkerPanicked` events that report the recovery itself).
-#[test]
-fn faults_worker_panic_is_bit_identical_to_a_clean_run() {
-    let mut vocab = Vocabulary::new();
-    let (db, set) = build(&mut vocab);
-    let budget = Budget::steps(25);
-    let (baseline, baseline_events) =
-        run_parallel(&set, &db, &ResourceGovernor::from_budget(budget));
-    assert_eq!(baseline.outcome, Outcome::BudgetExhausted);
-
-    let parallel_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(set.len());
-
-    for batch in 0..3u32 {
-        for worker in 0..2u32 {
-            let gov = ResourceGovernor::from_budget(budget).with_faults(FaultPlan {
-                worker_panic: Some(WorkerPanic { batch, worker }),
-                ..FaultPlan::default()
-            });
-            let (run, events) = run_parallel(&set, &db, &gov);
-            assert_runs_identical(&run, &baseline);
-            let panics: Vec<&Event> = events
-                .iter()
-                .filter(|e| matches!(e, Event::WorkerPanicked { .. }))
-                .collect();
-            // On a multi-core machine the targeted worker exists and
-            // the recovery must be reported; on a single core the
-            // batch never fans out and nothing panics.
-            if parallel_workers > 1 && worker < parallel_workers as u32 {
-                assert_eq!(panics.len(), 1, "batch {batch} worker {worker}");
-            }
-            let without_panics: Vec<&Event> = events
-                .iter()
-                .filter(|e| !matches!(e, Event::WorkerPanicked { .. }))
-                .collect();
-            let baseline_refs: Vec<&Event> = baseline_events.iter().collect();
-            assert_eq!(without_panics, baseline_refs);
-        }
-    }
 }
 
 proptest! {
@@ -152,7 +99,7 @@ proptest! {
     fn faults_flaky_sink_degrades_without_erroring(k in 0u64..12) {
         let mut vocab = Vocabulary::new();
         let (db, set) = build(&mut vocab);
-        let (_, events) = run_parallel(&set, &db, &ResourceGovernor::from_budget(Budget::steps(8)));
+        let (_, events) = run_recorded(&set, &db, &ResourceGovernor::from_budget(Budget::steps(8)));
         prop_assert!(events.len() as u64 > 12, "program must out-emit the quota");
         let mut sink = JsonlWriter::new(FlakyWriter::new(Vec::new(), k));
         for event in &events {
@@ -173,8 +120,7 @@ proptest! {
     }
 
     /// The headline property: *every* seeded fault plan — any mix of
-    /// worker panics, injected deadlines, cancellations and sink
-    /// failures — yields a clean outcome consistent with the plan, a
+    /// injected deadlines, cancellations and sink failures — yields a clean outcome consistent with the plan, a
     /// replayable partial derivation, an intact telemetry stream, and
     /// no state poisoning (a subsequent fault-free run is bit-identical
     /// to a never-faulted baseline).
@@ -185,10 +131,10 @@ proptest! {
         let plan = FaultPlan::from_seed(seed);
         let budget = Budget::steps(20);
         let (baseline, baseline_events) =
-            run_parallel(&set, &db, &ResourceGovernor::from_budget(budget));
+            run_recorded(&set, &db, &ResourceGovernor::from_budget(budget));
 
         let gov = ResourceGovernor::from_budget(budget).with_faults(plan);
-        let (run, events) = run_parallel(&set, &db, &gov);
+        let (run, events) = run_recorded(&set, &db, &gov);
 
         // The outcome is exactly what the plan dictates: cancellation
         // wins, then the injected deadline, then the step budget.
@@ -222,7 +168,7 @@ proptest! {
         // No cross-run poisoning: a fresh fault-free run still matches
         // the baseline exactly, telemetry included.
         let (again, again_events) =
-            run_parallel(&set, &db, &ResourceGovernor::from_budget(budget));
+            run_recorded(&set, &db, &ResourceGovernor::from_budget(budget));
         assert_runs_identical(&again, &baseline);
         prop_assert_eq!(again_events, baseline_events);
     }

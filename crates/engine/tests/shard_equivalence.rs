@@ -13,7 +13,6 @@ use chase_core::instance::Instance;
 use chase_core::parser::parse_program;
 use chase_core::tgd::TgdSet;
 use chase_core::vocab::Vocabulary;
-use chase_engine::driver::Parallelism;
 use chase_engine::oblivious::ObliviousChase;
 use chase_engine::restricted::{Budget, Outcome, RestrictedChase};
 use chase_telemetry::{Event, RecordingObserver};
@@ -78,28 +77,9 @@ fn db_with_shards(atoms: &[Atom], shards: usize) -> Instance {
     db
 }
 
-fn observe_restricted(set: &TgdSet, db: &Instance, parallel: bool) -> Observed {
-    observe_restricted_with(set, db, parallel, None)
-}
-
-/// `observe_restricted` with an explicit worker-thread cap, so
-/// parallel discovery engages regardless of host core count (a
-/// single-core host otherwise never fans out).
-fn observe_restricted_with(
-    set: &TgdSet,
-    db: &Instance,
-    parallel: bool,
-    workers: Option<usize>,
-) -> Observed {
+fn observe_restricted(set: &TgdSet, db: &Instance) -> Observed {
     let mut rec = RecordingObserver::default();
-    let mut engine = RestrictedChase::new(set);
-    if parallel {
-        engine = engine.parallelism(Parallelism::On).parallel_threshold(0);
-    }
-    if let Some(w) = workers {
-        engine = engine.workers(w);
-    }
-    let run = engine.run_observed(db, Budget::steps(STEPS), &mut rec);
+    let run = RestrictedChase::new(set).run_observed(db, Budget::steps(STEPS), &mut rec);
     Observed {
         outcome: run.outcome,
         steps: run.steps,
@@ -136,68 +116,22 @@ fn facts_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Sequential restricted chase: shard count changes nothing.
+    /// Restricted chase: shard count changes nothing.
     #[test]
     fn shard_count_is_invisible_to_the_restricted_chase(
         rules in 0usize..RULES.len(),
         facts in facts_strategy(),
     ) {
         let (_vocab, set, atoms) = parse(rules, &facts);
-        let base = observe_restricted(&set, &db_with_shards(&atoms, SHARD_COUNTS[0]), false);
+        let base = observe_restricted(&set, &db_with_shards(&atoms, SHARD_COUNTS[0]));
         for &n in &SHARD_COUNTS[1..] {
-            let other = observe_restricted(&set, &db_with_shards(&atoms, n), false);
+            let other = observe_restricted(&set, &db_with_shards(&atoms, n));
             assert_same(&format!("rules {rules}, {n} shards, sequential"), &base, &other)?;
         }
     }
 
-    /// Parallel restricted chase (threshold 0 forces every discovery
-    /// batch onto the pool): still bit-identical, for every shard
-    /// count, to the unsharded sequential baseline.
-    #[test]
-    fn shard_count_is_invisible_to_the_parallel_driver(
-        rules in 0usize..RULES.len(),
-        facts in facts_strategy(),
-    ) {
-        let (_vocab, set, atoms) = parse(rules, &facts);
-        let base = observe_restricted(&set, &db_with_shards(&atoms, SHARD_COUNTS[0]), false);
-        for &n in &SHARD_COUNTS {
-            let other = observe_restricted(&set, &db_with_shards(&atoms, n), true);
-            assert_same(&format!("rules {rules}, {n} shards, parallel"), &base, &other)?;
-        }
-    }
-
-    /// Force-parallel runs at explicit worker counts (DESIGN.md §16):
-    /// discovery fans out over the pool while checks and applications
-    /// run in queue order on the driving thread. Across worker counts
-    /// {1, 2, 4} × shard counts {1, 2, 4, 7}, outcome, step count,
-    /// every slot id and the full telemetry stream must equal the
-    /// unsharded sequential baseline.
-    #[test]
-    fn parallel_apply_is_bit_identical_across_threads_and_shards(
-        rules in 0usize..RULES.len(),
-        facts in facts_strategy(),
-    ) {
-        let (_vocab, set, atoms) = parse(rules, &facts);
-        let base = observe_restricted(&set, &db_with_shards(&atoms, SHARD_COUNTS[0]), false);
-        for &n in &SHARD_COUNTS {
-            for threads in [1usize, 2, 4] {
-                let other = observe_restricted_with(
-                    &set,
-                    &db_with_shards(&atoms, n),
-                    true,
-                    Some(threads),
-                );
-                assert_same(
-                    &format!("rules {rules}, {n} shards, {threads} threads, parallel"),
-                    &base,
-                    &other,
-                )?;
-            }
-        }
-    }
-
-    /// Oblivious chase: same invariance (it shares the instance layer
-    /// and the discovery pool, not the restriction checks).
+    /// Oblivious chase: same invariance (it shares the instance layer,
+    /// not the restriction checks).
     #[test]
     fn shard_count_is_invisible_to_the_oblivious_chase(
         rules in 0usize..RULES.len(),

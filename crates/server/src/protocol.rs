@@ -10,7 +10,7 @@
 //!
 //! | `op`       | fields |
 //! |------------|--------|
-//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed`, `max_steps`, `max_atoms`, `deadline_ms`, `threads`, `telemetry` (bool), fault arms below |
+//! | `chase`    | `id`, `program` and/or `program_ref`; optional `tenant`, `engine` (`restricted`\|`oblivious`\|`semi`), `strategy` (`fifo`\|`lifo`\|`random`\|`priority`), `seed`, `max_steps`, `max_atoms`, `deadline_ms`, `threads` (a non-negative integer, accepted and ignored: every chase runs sequentially), `telemetry` (bool), fault arms below |
 //! | `decide`   | `id`, `program` and/or `program_ref`; optional `tenant`, `deadline_ms`, `telemetry` |
 //! | `cancel`   | `id` — trips the session's [`CancelToken`] |
 //! | `ping`     | liveness probe |
@@ -102,7 +102,8 @@ pub struct SessionRequest {
     pub budget: Budget,
     /// Per-session deadline, measured from session start.
     pub deadline: Option<Duration>,
-    /// Worker threads (`None` = sequential).
+    /// The `threads` field, accepted and ignored (`None` when absent
+    /// or 0): every chase runs sequentially.
     pub threads: Option<usize>,
     /// Whether to stream telemetry events back.
     pub telemetry: bool,
@@ -243,8 +244,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 engine,
                 budget,
                 deadline: get_num(&map, "deadline_ms")?.map(Duration::from_millis),
-                // `threads:0` means "sequential", i.e. absent — it must
-                // not collide with `None` in the runner's pool cache.
+                // Still validated (a malformed value is an error) but
+                // ignored by the runner; `threads:0` reads as absent.
                 threads: get_num(&map, "threads")?
                     .map(|n| n as usize)
                     .filter(|&n| n > 0),

@@ -28,12 +28,13 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 use chase_core::cancel::{CancelGroup, CancelToken};
 use chase_core::compile::{CompiledProgram, ProgramFingerprint};
@@ -126,6 +127,66 @@ impl Stream {
         match self {
             Stream::Tcp(s) => Ok((Box::new(s.try_clone()?), Box::new(s))),
             Stream::Unix(s) => Ok((Box::new(s.try_clone()?), Box::new(s))),
+        }
+    }
+
+    fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
+
+    /// Ends the connection's read side: a handler blocked reading it
+    /// sees end of input. Replies can still be written.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Read),
+            Stream::Unix(s) => s.shutdown(Shutdown::Read),
+        };
+    }
+}
+
+/// The accept loop's connection handlers: each handler thread with a
+/// second handle on its socket, so the drain can end the read side of
+/// a client that never hangs up.
+#[derive(Default)]
+struct Handlers {
+    open: Vec<(JoinHandle<()>, Stream)>,
+}
+
+impl Handlers {
+    /// Runs `handle` on its own thread for the connection `stream`.
+    fn spawn(
+        &mut self,
+        stream: Stream,
+        handle: impl FnOnce(Stream) + Send + 'static,
+    ) -> std::io::Result<()> {
+        let control = stream.try_clone()?;
+        self.open
+            .push((std::thread::spawn(move || handle(stream)), control));
+        Ok(())
+    }
+
+    /// Joins the handlers whose clients have hung up.
+    fn reap(&mut self) {
+        let (done, open): (Vec<_>, Vec<_>) = std::mem::take(&mut self.open)
+            .into_iter()
+            .partition(|(handler, _)| handler.is_finished());
+        self.open = open;
+        for (handler, _) in done {
+            let _ = handler.join();
+        }
+    }
+
+    /// Ends the read side of every open connection and joins the
+    /// handlers. Idle clients no longer keep their handler blocked.
+    fn close(self) {
+        for (_, control) in &self.open {
+            control.shutdown_read();
+        }
+        for (handler, _) in self.open {
+            let _ = handler.join();
         }
     }
 }
@@ -295,7 +356,7 @@ impl Server {
     /// connection gets its own handler thread; sessions run on the
     /// scheduler regardless of which connection submitted them.
     pub fn run(self) -> std::io::Result<()> {
-        let mut handlers = Vec::new();
+        let mut handlers = Handlers::default();
         loop {
             let stream = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
@@ -311,6 +372,7 @@ impl Server {
                     continue;
                 }
             };
+            handlers.reap();
             let ctx = HandlerCtx {
                 scheduler: Arc::clone(&self.scheduler),
                 registry: Arc::clone(&self.registry),
@@ -318,17 +380,19 @@ impl Server {
                 shutting_down: Arc::clone(&self.shutting_down),
                 endpoint: self.endpoint.clone(),
             };
-            handlers.push(std::thread::spawn(move || handle_connection(stream, &ctx)));
+            if let Err(e) = handlers.spawn(stream, move |stream| handle_connection(stream, &ctx)) {
+                eprintln!("chase-server: cannot track connection: {e}");
+            }
         }
-        // Drain: finish queued + running sessions, join runners, then
-        // the handler threads (their clients have their results).
+        // Drain: finish queued + running sessions and join runners.
+        // Every result is written by then, so the handlers can stop
+        // reading: ending each connection's read side releases the
+        // handlers of clients that stay connected, and they are joined.
         self.scheduler.shutdown();
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
-        for handler in handlers {
-            let _ = handler.join();
-        }
+        handlers.close();
         Ok(())
     }
 }
@@ -674,5 +738,44 @@ mod tests {
         assert!(!conn.send_line("{\"type\":\"pong\"}"));
         assert!(!conn.send_event("s1", "{\"event\":\"x\"}"));
         assert_eq!(conn.dropped(), 2);
+    }
+
+    /// Reads a connection to its end, as a handler blocked on an idle
+    /// client does.
+    fn drain(stream: Stream) {
+        let (read, _write) = stream.split().expect("split test stream");
+        for _ in BufReader::new(read).lines() {}
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_and_idle_ones_released() {
+        let mut handlers = Handlers::default();
+        // A client that hangs up at once: its handler finishes, and the
+        // next reap drops it instead of keeping it until shutdown.
+        let (served, client) = UnixStream::pair().unwrap();
+        drop(client);
+        handlers.spawn(Stream::Unix(served), drain).unwrap();
+        let started = std::time::Instant::now();
+        while !handlers.open[0].0.is_finished() {
+            assert!(started.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        handlers.reap();
+        assert!(handlers.open.is_empty());
+        // A client that stays connected and silent: its handler stays
+        // open, and closing the handlers still returns.
+        let (served, idle) = UnixStream::pair().unwrap();
+        handlers.spawn(Stream::Unix(served), drain).unwrap();
+        handlers.reap();
+        assert_eq!(handlers.open.len(), 1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handlers.close();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("closing the handlers released the idle reader");
+        drop(idle);
     }
 }

@@ -97,12 +97,12 @@ pub fn run_chase_session(
         dropped: Cell::new(0),
         degraded: Cell::new(false),
     };
-    let pool = Some(ctx.pool_for(req.threads));
+    let scratch = Some(ctx.pool_for(req.threads));
     let result = if req.telemetry {
         let mut obs = LineObserver::new(|line: &str| stream.send(line));
-        run_chase_task(&spec, &mut obs, pool)
+        run_chase_task(&spec, &mut obs, scratch)
     } else {
-        run_chase_task(&spec, &mut NullObserver, pool)
+        run_chase_task(&spec, &mut NullObserver, scratch)
     };
     let elapsed_ms = started.elapsed().as_millis() as u64;
     let line = match result {

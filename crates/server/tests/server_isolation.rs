@@ -78,6 +78,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     let finite_spec = ChaseTaskSpec::restricted(FINITE);
     let mut capped_spec = ChaseTaskSpec::restricted(INFINITE);
     capped_spec.budget = Budget::steps(64);
+    // `threads` is accepted and ignored: the run is the sequential one.
     capped_spec.threads = Some(2);
     let finite_baseline = baseline_fingerprint(&finite_spec);
     let capped_baseline = baseline_fingerprint(&capped_spec);
@@ -86,7 +87,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     //  s-panic    — injected task panic at step 3;
     //  s-deadline — non-terminating, killed by a real 150ms deadline;
     //  s-finite   — healthy, sequential;
-    //  s-capped   — healthy, parallel (threads 2), budget-capped.
+    //  s-capped   — healthy, budget-capped, sends threads:2.
     let requests = [
         format!(
             r#"{{"op":"chase","id":"s-panic","tenant":"chaos","program":"{}","fault_task_panic_at":3}}"#,
@@ -144,7 +145,7 @@ fn concurrent_faulty_sessions_do_not_disturb_healthy_ones() {
     assert_eq!(
         result_str(capped, "fingerprint"),
         capped_baseline,
-        "parallel session through the shared pool must match a standalone run"
+        "a threads:2 session on a runner's lent scratch must match a standalone run"
     );
 
     // The server (and its runners) survived the panic: a fresh request
@@ -413,4 +414,30 @@ fn decide_sessions_run_through_the_same_scheduler() {
 
     shutdown(&endpoint);
     server.join().expect("server thread");
+}
+
+/// A client that connects and never sends a line, nor hangs up, must
+/// not keep the server from finishing: once another client's
+/// `shutdown` has drained the sessions, `Server::run` returns.
+#[test]
+fn an_idle_connection_does_not_block_shutdown() {
+    let (endpoint, server) = boot(ServerConfig::default(), "idle");
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("boot binds a unix socket")
+    };
+    let idle = std::os::unix::net::UnixStream::connect(path).expect("idle client connects");
+    // The accept loop serves connections in order, so once this ping is
+    // answered the idle connection has its own handler.
+    let pong = request_once(&endpoint, r#"{"op":"ping"}"#).expect("ping reply");
+    assert_eq!(pong.get("type").and_then(Scalar::as_str), Some("pong"));
+    shutdown(&endpoint);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join().expect("server thread");
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("Server::run returned while an idle client stayed connected");
+    drop(idle);
 }

@@ -164,17 +164,6 @@ pub enum Event {
         /// Amount added.
         delta: u64,
     },
-    /// One or more parallel discovery workers panicked; the batch was
-    /// re-evaluated sequentially and the run continued (graceful
-    /// degradation, see `chase-engine::driver`).
-    WorkerPanicked {
-        /// Producing engine.
-        engine: EngineKind,
-        /// Steps performed when the batch was evaluated.
-        step: u64,
-        /// Number of workers that panicked in this batch.
-        panics: u32,
-    },
     /// The run was stopped by its resource governor (deadline or
     /// cooperative cancellation) with a truthful partial result.
     RunInterrupted {
@@ -274,7 +263,6 @@ impl Event {
             Event::NullInvented { .. } => "null_invented",
             Event::AtomInserted { .. } => "atom_inserted",
             Event::QueueDepth { .. } => "queue_depth",
-            Event::WorkerPanicked { .. } => "worker_panicked",
             Event::RunInterrupted { .. } => "run_interrupted",
             Event::CounterAdd { .. } => "counter_add",
             Event::PhaseEntered { .. } => "phase_entered",
@@ -353,15 +341,6 @@ impl Event {
                 json_str(out, "engine", engine.as_str());
                 json_u64(out, "step", step);
                 json_u64(out, "depth", depth);
-            }
-            Event::WorkerPanicked {
-                engine,
-                step,
-                panics,
-            } => {
-                json_str(out, "engine", engine.as_str());
-                json_u64(out, "step", step);
-                json_u64(out, "panics", panics as u64);
             }
             Event::RunInterrupted {
                 engine,
@@ -521,15 +500,6 @@ mod tests {
 
     #[test]
     fn resilience_events_serialise_flat() {
-        let e = Event::WorkerPanicked {
-            engine: EngineKind::Restricted,
-            step: 7,
-            panics: 2,
-        };
-        assert_eq!(
-            e.to_json(),
-            "{\"event\":\"worker_panicked\",\"v\":2,\"engine\":\"restricted\",\"step\":7,\"panics\":2}"
-        );
         let e = Event::RunInterrupted {
             engine: EngineKind::Oblivious,
             step: 3,

@@ -134,3 +134,60 @@ fn baselines_are_strictly_weaker_than_the_deciders() {
     );
     assert!(wa_count < so_count && so_count < ct_count);
 }
+
+/// A `Terminating` verdict the server's decide cache memoises is a
+/// claim about every derivation, not about one strategy's: for every
+/// suite entry the cache stores as terminating, a budgeted restricted
+/// chase of the entry's probe database terminates under FIFO, LIFO,
+/// per-TGD priority and seeded random order (the derivation strategy
+/// matters for the restricted chase; Carral et al., arXiv 2505.16551).
+#[test]
+fn memoised_terminating_verdicts_hold_under_every_strategy() {
+    use restricted_chase::core::compile::compile;
+    use restricted_chase::server::DecideCache;
+    use restricted_chase::termination::decider_class;
+
+    let config = DeciderConfig::default();
+    let cache = DecideCache::new(1024);
+    let suite = labelled_suite();
+    let mut checked = 0;
+    for entry in &suite {
+        let program = compile(&format!("{}\n{}", entry.source, entry.probe_database))
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+        let (set, fp) = (program.tgd_set(), program.fingerprint());
+        let class = decider_class(set);
+        cache.insert(fp, class, &decide(set, program.vocab(), &config));
+        let Some(verdict) = cache.get(fp, class) else {
+            continue; // `Unknown` is never memoised
+        };
+        if !verdict.is_terminating() {
+            continue;
+        }
+        for strategy in [
+            Strategy::Fifo,
+            Strategy::Lifo,
+            Strategy::PriorityTgd,
+            Strategy::Random(1),
+            Strategy::Random(0xC0FFEE),
+        ] {
+            let run = RestrictedChase::new(set)
+                .strategy(strategy)
+                .record_derivation(false)
+                .run(program.database(), Budget::steps(100_000));
+            assert_eq!(
+                run.outcome,
+                Outcome::Terminated,
+                "{}: memoised terminating verdict, but {strategy:?} did not terminate",
+                entry.name
+            );
+        }
+        checked += 1;
+    }
+    // Every entry labelled terminating is decided and memoised as such.
+    let labelled = suite
+        .iter()
+        .filter(|e| e.expected == Expected::Terminating)
+        .count();
+    assert!(labelled > 0);
+    assert_eq!(checked, labelled);
+}

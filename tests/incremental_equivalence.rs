@@ -3,25 +3,26 @@
 //! dedup-map instance layout must leave the engines **bit-identical**
 //! to the frozen seed baseline — same outcome, same step count, same
 //! final instance, same recorded derivation — on random programs, and
-//! the sequential and parallel optimised engines must emit identical
-//! telemetry event streams.
+//! the optimised engine's telemetry must not depend on how the run is
+//! driven (a lent matcher scratch, the instance's shard count).
 //!
 //! The random generator emits single-head rules only, so a second
 //! property runs small `chase_workloads::scale` programs, whose
 //! existential rules have two-atom heads sharing the invented null —
 //! the frontier memo's main case. The seed engine has no observer
-//! hook, so telemetry equality is checked between the two optimised
-//! drivers; derivation equality against the seed is checked
-//! structurally and by replaying the recorded derivation through
-//! [`Derivation::validate`].
+//! hook and records no derivation, so telemetry equality is checked
+//! between optimised runs, and derivations are checked by replaying
+//! them through [`Derivation::validate`].
 
 use proptest::prelude::*;
 use restricted_chase::prelude::*;
 // `proptest::prelude` exports a `Strategy` trait that shadows the
 // chase engine's `Strategy` enum in glob imports; re-import explicitly.
+use restricted_chase::core::hom::HomScratch;
 use restricted_chase::engine::derivation::Derivation;
+use restricted_chase::engine::governor::ResourceGovernor;
 use restricted_chase::engine::restricted::Strategy;
-use restricted_chase::telemetry::RecordingObserver;
+use restricted_chase::telemetry::{NullObserver, RecordingObserver};
 use restricted_chase::workloads::scale::{scale_workload, ScaleParams, Shape};
 
 /// Parses a generated (rules, database) pair.
@@ -69,15 +70,15 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The optimised restricted chase (sequential and force-parallel
-    /// with two workers, so discovery fans out on any host) agrees
-    /// exactly with the frozen seed engine on outcome, step count, and
-    /// final instance; the seq and par drivers additionally record
-    /// identical derivations (the seed engine records none).
+    /// The optimised restricted chase agrees exactly with the frozen
+    /// seed engine on outcome, step count, and final instance; a run
+    /// with a lent matcher scratch (as the chase server's runners
+    /// drive it) records the identical derivation.
     #[test]
     fn watermarked_restricted_equals_seed(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
+        let mut scratch = HomScratch::new();
         for strategy in [
             Strategy::Fifo,
             Strategy::Lifo,
@@ -85,34 +86,29 @@ proptest! {
             Strategy::PriorityTgd,
         ] {
             let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
-            let mut recorded = Vec::new();
-            for (label, parallel) in [("Off", false), ("On", true)] {
-                let engine = RestrictedChase::new(&set).strategy(strategy);
-                let engine = if parallel {
-                    engine
-                        .parallelism(Parallelism::On)
-                        .parallel_threshold(0)
-                        .workers(2)
-                } else {
-                    engine.parallelism(Parallelism::Off)
-                };
-                let run = engine.run(&db, budget);
-                let label = format!("{strategy:?}/{label}");
-                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
-                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
-                prop_assert_eq!(
-                    reference.instance.len(),
-                    run.instance.len(),
-                    "len: {}",
-                    &label
-                );
-                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
-                recorded.push(run.derivation);
-            }
+            let engine = RestrictedChase::new(&set).strategy(strategy);
+            let run = engine.run(&db, budget);
+            let label = format!("{strategy:?}");
+            prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+            prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+            prop_assert_eq!(
+                reference.instance.len(),
+                run.instance.len(),
+                "len: {}",
+                &label
+            );
+            prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
+            let lent = engine.run_governed_observed_in(
+                &db,
+                &ResourceGovernor::from_budget(budget),
+                &mut NullObserver,
+                &mut scratch,
+            );
+            prop_assert_eq!(&run.instance, &lent.instance, "lent instance: {}", &label);
             assert_derivations_equal(
-                &recorded[0],
-                &recorded[1],
-                &format!("{strategy:?} seq-vs-par"),
+                &run.derivation,
+                &lent.derivation,
+                &format!("{label} fresh-vs-lent scratch"),
             )?;
         }
     }
@@ -127,49 +123,40 @@ proptest! {
     fn watermarked_derivation_replays(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
         let budget = Budget::new(200, 2_000);
-        for parallelism in [Parallelism::Off, Parallelism::On] {
-            let run = RestrictedChase::new(&set)
-                .parallelism(parallelism)
-                .parallel_threshold(0)
-                .run(&db, budget);
-            let must_saturate = run.outcome == Outcome::Terminated;
-            let replayed = run.derivation.validate(&db, &set, must_saturate);
-            match replayed {
-                Ok(final_instance) => {
-                    prop_assert_eq!(&final_instance, &run.instance, "{:?}", parallelism)
-                }
-                Err(fault) => prop_assert!(false, "{:?}: replay fault: {}", parallelism, fault),
-            }
+        let run = RestrictedChase::new(&set).run(&db, budget);
+        let must_saturate = run.outcome == Outcome::Terminated;
+        let replayed = run.derivation.validate(&db, &set, must_saturate);
+        match replayed {
+            Ok(final_instance) => prop_assert_eq!(&final_instance, &run.instance),
+            Err(fault) => prop_assert!(false, "replay fault: {}", fault),
         }
     }
 
-    /// Sequential and parallel optimised drivers emit identical
-    /// telemetry event streams (the seed engine has no observer hook),
-    /// including the per-run `triggers.memo_hits` counter.
+    /// A fresh-scratch run and a run on a matcher scratch already used
+    /// by an earlier run emit identical telemetry event streams (the
+    /// seed engine has no observer hook), including the per-run
+    /// `triggers.memo_hits` counter.
     #[test]
     fn watermarked_event_streams_identical(seed in 0u64..5_000, db_seed in 0u64..5_000) {
         let (_vocab, set, db) = build(seed, db_seed);
-        let budget = Budget::new(200, 2_000);
-        let mut seq_obs = RecordingObserver::default();
-        let seq = RestrictedChase::new(&set)
-            .parallelism(Parallelism::Off)
-            .run_observed(&db, budget, &mut seq_obs);
-        let mut par_obs = RecordingObserver::default();
-        let par = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .parallel_threshold(0)
-            .run_observed(&db, budget, &mut par_obs);
-        prop_assert_eq!(seq.outcome, par.outcome);
-        prop_assert_eq!(seq_obs.events, par_obs.events);
+        let gov = ResourceGovernor::from_budget(Budget::new(200, 2_000));
+        let engine = RestrictedChase::new(&set);
+        let mut fresh_obs = RecordingObserver::default();
+        let fresh = engine.run_governed_observed(&db, &gov, &mut fresh_obs);
+        let mut scratch = HomScratch::new();
+        let _ = engine.run_governed_observed_in(&db, &gov, &mut NullObserver, &mut scratch);
+        let mut lent_obs = RecordingObserver::default();
+        let lent = engine.run_governed_observed_in(&db, &gov, &mut lent_obs, &mut scratch);
+        prop_assert_eq!(fresh.outcome, lent.outcome);
+        prop_assert_eq!(fresh_obs.events, lent_obs.events);
     }
 
-    /// Force-parallel runs against the frozen seed oracle: with every
-    /// discovery batch fanned out and checks and applications run in
-    /// queue order on the driving thread, every worker count
-    /// {1, 2, 4} × shard count {1, 2, 4, 7} must still equal the seed
-    /// run (outcome, steps, instance), emit the exact sequential
-    /// telemetry stream, and record a derivation that replays cleanly
-    /// through `Derivation::validate`.
+    /// Sharded runs against the frozen seed oracle: over every shard
+    /// count {1, 2, 4, 7} the run must still equal the seed run
+    /// (outcome, steps, instance), emit the exact unsharded telemetry
+    /// stream, and record a derivation that replays cleanly through
+    /// `Derivation::validate`. (The name predates the removal of
+    /// parallel discovery, whose thread sweep this test also ran.)
     #[test]
     fn parallel_apply_equals_seed_across_threads_and_shards(
         seed in 0u64..5_000,
@@ -185,51 +172,26 @@ proptest! {
             for atom in db.iter() {
                 sdb.insert(atom.to_atom());
             }
-            for threads in [1usize, 2, 4] {
-                let label = format!("{shards} shards / {threads} threads");
-                let mut obs = RecordingObserver::default();
-                let run = RestrictedChase::new(&set)
-                    .parallelism(Parallelism::On)
-                    .parallel_threshold(0)
-                    .workers(threads)
-                    .run_observed(&sdb, budget, &mut obs);
-                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
-                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
-                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
-                prop_assert_eq!(&seq_obs.events, &obs.events, "telemetry: {}", &label);
-                let must_saturate = run.outcome == Outcome::Terminated;
-                let replayed = run.derivation.validate(&sdb, &set, must_saturate)
-                    .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
-                prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
-                prop_assert_eq!(&seq.instance, &run.instance, "seq instance: {}", &label);
-            }
+            let label = format!("{shards} shards");
+            let mut obs = RecordingObserver::default();
+            let run = RestrictedChase::new(&set).run_observed(&sdb, budget, &mut obs);
+            prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+            prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+            prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
+            prop_assert_eq!(&seq_obs.events, &obs.events, "telemetry: {}", &label);
+            let must_saturate = run.outcome == Outcome::Terminated;
+            let replayed = run.derivation.validate(&sdb, &set, must_saturate)
+                .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
+            prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
+            prop_assert_eq!(&seq.instance, &run.instance, "unsharded instance: {}", &label);
         }
-    }
-
-    /// The default parallel gating heuristic (delta size × body width)
-    /// must never change results — whichever side of the threshold a
-    /// batch lands on, the run is the same.
-    #[test]
-    fn default_gating_preserves_results(seed in 0u64..5_000, db_seed in 0u64..5_000) {
-        let (_vocab, set, db) = build(seed, db_seed);
-        let budget = Budget::new(200, 2_000);
-        let reference = RestrictedChase::new(&set)
-            .parallelism(Parallelism::Off)
-            .run(&db, budget);
-        // Default threshold: the heuristic decides per batch.
-        let gated = RestrictedChase::new(&set)
-            .parallelism(Parallelism::On)
-            .run(&db, budget);
-        prop_assert_eq!(reference.outcome, gated.outcome);
-        prop_assert_eq!(reference.steps, gated.steps);
-        prop_assert_eq!(&reference.instance, &gated.instance);
     }
 
     /// Small seeded scale programs (chain and clique predicate graphs,
     /// a few hundred facts, existential rules with two-atom heads)
-    /// under every strategy, sequential and with two forced workers:
-    /// outcome, steps and instance equal the frozen seed engine, and
-    /// every recorded derivation replays through `Derivation::validate`.
+    /// under every strategy: outcome, steps and instance equal the
+    /// frozen seed engine, and every recorded derivation replays
+    /// through `Derivation::validate`.
     #[test]
     fn multi_head_scale_equals_seed(
         clique in 0u8..2,
@@ -257,26 +219,15 @@ proptest! {
             Strategy::Random(seed | 1),
         ] {
             let reference = SeedRestrictedChase::new(&set).strategy(strategy).run(&db, budget);
-            for workers in [1usize, 2] {
-                let engine = RestrictedChase::new(&set).strategy(strategy);
-                let engine = if workers > 1 {
-                    engine
-                        .parallelism(Parallelism::On)
-                        .parallel_threshold(0)
-                        .workers(workers)
-                } else {
-                    engine
-                };
-                let run = engine.run(&db, budget);
-                let label = format!("{} {strategy:?} workers={workers}", params.name());
-                prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
-                prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
-                prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
-                let must_saturate = run.outcome == Outcome::Terminated;
-                let replayed = run.derivation.validate(&db, &set, must_saturate)
-                    .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
-                prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
-            }
+            let run = RestrictedChase::new(&set).strategy(strategy).run(&db, budget);
+            let label = format!("{} {strategy:?}", params.name());
+            prop_assert_eq!(reference.outcome, run.outcome, "outcome: {}", &label);
+            prop_assert_eq!(reference.steps, run.steps, "steps: {}", &label);
+            prop_assert_eq!(&reference.instance, &run.instance, "instance: {}", &label);
+            let must_saturate = run.outcome == Outcome::Terminated;
+            let replayed = run.derivation.validate(&db, &set, must_saturate)
+                .map_err(|f| TestCaseError::fail(format!("{label}: replay fault: {f}")))?;
+            prop_assert_eq!(&replayed, &run.instance, "replay: {}", &label);
         }
     }
 }

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use restricted_chase::prelude::*;
 // `proptest::prelude` exports a `Strategy` trait that shadows the
 // chase engine's `Strategy` enum in glob imports; re-import explicitly.
-use restricted_chase::engine::driver::Parallelism;
 use restricted_chase::engine::restricted::Strategy;
 use restricted_chase::telemetry::{
     names, spans, CountingObserver, Event, Profiled, RecordingObserver,
@@ -165,37 +164,6 @@ proptest! {
         }
         prop_assert!(stack.is_empty(), "unclosed spans: {stack:?}");
         prop_assert_eq!(run_spans, 1, "exactly one run span per run");
-    }
-
-    /// Parallel discovery emits the same span tree as sequential
-    /// discovery — same spans, same order, same TGD attribution —
-    /// once the per-worker timing spans (parallel-only by nature) are
-    /// set aside. Timings differ; shape may not.
-    #[test]
-    fn parallel_profiling_has_the_same_span_shape(seed in 0u64..2_500, db_seed in 0u64..2_500) {
-        let (_vocab, set, db) = build(seed, db_seed);
-        let shape = |parallelism: Parallelism| {
-            let mut rec = Profiled(RecordingObserver::default());
-            RestrictedChase::new(&set)
-                .strategy(Strategy::Fifo)
-                .parallelism(parallelism)
-                .parallel_threshold(0)
-                .run_observed(&db, Budget::new(200, 2_000), &mut rec);
-            rec.0
-                .events
-                .iter()
-                .filter_map(|event| match event {
-                    Event::SpanEntered { span, tgd } if *span != spans::WORKER => {
-                        Some(("enter", *span, *tgd))
-                    }
-                    Event::SpanExited { span, tgd, .. } if *span != spans::WORKER => {
-                        Some(("exit", *span, *tgd))
-                    }
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(shape(Parallelism::Off), shape(Parallelism::On));
     }
 
     /// Profiling is pure: a run under a profiling observer returns
